@@ -150,6 +150,26 @@ void BM_PackFaceSameLevel(benchmark::State& state) {
 }
 BENCHMARK(BM_PackFaceSameLevel);
 
+/// One copy_face_from on the sphere workload's block shape (8³, 8 vars) for
+/// axis range(0) and relation range(1). Items are message values, as in the
+/// perfbench probe; z-faces (axis 2) are the strided case.
+void BM_CopyFace(benchmark::State& state) {
+    const amr::BlockShape shape{8, 8, 8, 8};
+    amr::Block src(amr::BlockKey{}, shape), dst(amr::BlockKey{}, shape);
+    src.init_cells(Box{{0, 0, 0}, {1, 1, 1}}, 1);
+    const auto rel = static_cast<amr::FaceRel>(state.range(1));
+    const amr::FaceGeom geom{static_cast<int>(state.range(0)), +1, rel, 0};
+    for (auto _ : state) {
+        dst.copy_face_from(src, geom, 0, shape.num_vars);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * dst.face_value_count(geom, shape.num_vars));
+    state.SetLabel(rel == amr::FaceRel::Same ? "same"
+                   : rel == amr::FaceRel::Finer ? "finer" : "coarser");
+}
+BENCHMARK(BM_CopyFace)->ArgsProduct({{0, 1, 2}, {0, 1, 2}})->ArgNames({"axis", "rel"});
+
 void BM_BlockSplit(benchmark::State& state) {
     amr::BlockShape shape{12, 12, 12, 40};
     amr::Block parent(amr::BlockKey{}, shape);

@@ -134,7 +134,9 @@ public:
     /// Unpack-from-view counterpart (reads a received frame in place).
     void unpack_face(const FaceGeom& g, int var_begin, int var_end,
                      std::span<const std::byte> in);
-    /// Direct intra-rank ghost fill: equivalent to src.pack + this->unpack.
+    /// Direct intra-rank ghost fill: bit-identical to src.pack + this->unpack,
+    /// but one pass from src's boundary plane into my ghost plane, with no
+    /// staging buffer.
     void copy_face_from(const Block& src, const FaceGeom& g, int var_begin, int var_end);
     /// Domain-boundary ghost fill: reflects the boundary plane (Neumann).
     void reflect_face(int axis, int sense, int var_begin, int var_end);

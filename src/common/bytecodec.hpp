@@ -73,6 +73,12 @@ struct Reader {
         raw(&v, sizeof v);
         return v;
     }
+    /// Checks a length field read from the input before anything is sized
+    /// from it: `n` elements of at least `elem_bytes` bytes each must fit
+    /// in what is left, so a hostile count cannot force a huge allocation.
+    void check_count(std::uint64_t n, std::size_t elem_bytes) const {
+        DFAMR_REQUIRE(n <= left / elem_bytes, "codec: element count exceeds input");
+    }
     std::string str() {
         const std::uint32_t n = u32();
         DFAMR_REQUIRE(n <= left, "codec: truncated string");

@@ -20,7 +20,7 @@ resilience::RetryPolicy retry_policy(const Config& cfg) {
 }
 
 /// Cell coordinates of the in-plane point (u, v) on plane `a` of `axis`
-/// (same convention as block.cpp's PlaneIndexer).
+/// (the in-plane axes of BlockShape::plane_axes, ascending).
 Vec3i plane_coords(int axis, int a, int u, int v) {
     if (axis == 0) return {a, u, v};
     if (axis == 1) return {u, a, v};

@@ -16,6 +16,10 @@ using bytes::Reader;
 using bytes::Writer;
 
 constexpr char kMagic[8] = {'D', 'F', 'A', 'M', 'R', 'C', 'K', 'P'};
+// Encoded sizes: a BlockKey (i32 level + 3 x i64 anchor) and an ObjectSpec
+// (i32 type + u32 bounce + four Vec3d).
+constexpr std::size_t kKeyBytes = 4 + 3 * 8;
+constexpr std::size_t kObjectBytes = 4 + 4 + 4 * 3 * 8;
 
 // Gather tags: a dedicated pair inside the exchange-control tag space,
 // disjoint from kAckTag (+0), kBlockIdTag (+1) and kBlockDataTagBase (+16).
@@ -105,6 +109,7 @@ CheckpointState parse_header(Reader& r) {
     st.reflux_corrections = r.i64();
 
     const std::uint32_t nobjects = r.u32();
+    r.check_count(nobjects, kObjectBytes);
     st.objects.resize(nobjects);
     for (amr::ObjectSpec& obj : st.objects) {
         obj.type = static_cast<amr::ObjectType>(r.i32());
@@ -116,9 +121,11 @@ CheckpointState parse_header(Reader& r) {
     }
 
     const std::uint32_t nsums = r.u32();
+    r.check_count(nsums, sizeof(double));
     st.checksums.resize(nsums);
     for (double& v : st.checksums) v = r.f64();
     const std::uint32_t nref = r.u32();
+    r.check_count(nref, sizeof(double));
     st.checksum_reference.resize(nref);
     for (double& v : st.checksum_reference) v = r.f64();
     st.validation_ok = r.u32() != 0;
@@ -287,15 +294,19 @@ std::vector<std::pair<amr::BlockKey, std::vector<double>>> read_rank_blocks(
         offset = r.u64();
         size = r.u64();
     }
-    DFAMR_REQUIRE(offset + size <= image.size(), "checkpoint: section out of bounds");
+    // Written as two comparisons: `offset + size` can wrap.
+    DFAMR_REQUIRE(offset <= image.size() && size <= image.size() - offset,
+                  "checkpoint: section out of bounds");
 
     Reader section{image.data() + offset, static_cast<std::size_t>(size)};
     const std::uint32_t nblocks = section.u32();
+    section.check_count(nblocks, kKeyBytes + sizeof(std::uint64_t));
     std::vector<std::pair<amr::BlockKey, std::vector<double>>> out;
     out.reserve(nblocks);
     for (std::uint32_t i = 0; i < nblocks; ++i) {
         const amr::BlockKey key = get_key(section);
         const std::uint64_t count = section.u64();
+        section.check_count(count, sizeof(double));
         std::vector<double> data(static_cast<std::size_t>(count));
         section.raw(data.data(), data.size() * sizeof(double));
         out.emplace_back(key, std::move(data));

@@ -119,6 +119,7 @@ JobDone decode_job_done(const std::byte* data, std::size_t size) {
     bytes::Reader r(data, size);
     JobDone d;
     const std::uint32_t n = r.u32();
+    r.check_count(n, sizeof(double));
     d.checksums.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) d.checksums.push_back(r.f64());
     d.elapsed_s = r.f64();

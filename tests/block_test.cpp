@@ -2,6 +2,7 @@
 // prolongation), refinement data operations, stencils, checksums.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <numeric>
 #include <span>
@@ -149,6 +150,191 @@ TEST(Block, CopyFaceMatchesPackUnpack) {
                 EXPECT_EQ(a.at(v, x, 5, z), b.at(v, x, 5, z));
                 EXPECT_EQ(a.at(v, x, 5, z), src.at(v, x, 1, z));
             }
+        }
+    }
+}
+
+// --- reference face transfers ----------------------------------------------
+// Cell-by-cell versions of pack/unpack/reflect written with at(): plane
+// coordinate `a` along the face axis, in-plane (u, v) over the remaining
+// axes in ascending order, v innermost in the message. The block kernels
+// must agree with these bit for bit on every face relation.
+
+/// A non-cubic shape with an odd variable count: an axis, stride or
+/// variable mix-up in a kernel changes which cells move.
+BlockShape odd_shape() { return BlockShape{4, 6, 8, 3}; }
+
+Vec3i plane_cell(int axis, int a, int u, int v) {
+    Vec3i c;
+    const auto [ua, va] = odd_shape().plane_axes(axis);
+    c[axis] = a;
+    c[ua] = u;
+    c[va] = v;
+    return c;
+}
+
+double& cell(Block& b, int var, const Vec3i& c) { return b.at(var, c.x, c.y, c.z); }
+double cell(const Block& b, int var, const Vec3i& c) { return b.at(var, c.x, c.y, c.z); }
+
+std::vector<double> ref_pack(const Block& b, const FaceGeom& g, int var_begin, int var_end) {
+    const auto [ua, va] = b.shape().plane_axes(g.axis);
+    const int U = b.shape().dim(ua), V = b.shape().dim(va);
+    const int a = g.sense > 0 ? b.shape().dim(g.axis) : 1;
+    const int qu = (g.quad & 1) * (U / 2), qv = ((g.quad >> 1) & 1) * (V / 2);
+    std::vector<double> out;
+    for (int var = var_begin; var < var_end; ++var) {
+        if (g.rel == FaceRel::Same) {
+            for (int u = 1; u <= U; ++u) {
+                for (int v = 1; v <= V; ++v) out.push_back(cell(b, var, plane_cell(g.axis, a, u, v)));
+            }
+            continue;
+        }
+        for (int u = 0; u < U / 2; ++u) {
+            for (int v = 0; v < V / 2; ++v) {
+                if (g.rel == FaceRel::Finer) {
+                    out.push_back(cell(b, var, plane_cell(g.axis, a, qu + u + 1, qv + v + 1)));
+                    continue;
+                }
+                double sum = 0;
+                for (int du = 1; du <= 2; ++du) {
+                    for (int dv = 1; dv <= 2; ++dv) {
+                        sum += cell(b, var, plane_cell(g.axis, a, 2 * u + du, 2 * v + dv));
+                    }
+                }
+                out.push_back(0.25 * sum);
+            }
+        }
+    }
+    return out;
+}
+
+void ref_unpack(Block& b, const FaceGeom& g, int var_begin, int var_end,
+                const std::vector<double>& in) {
+    const auto [ua, va] = b.shape().plane_axes(g.axis);
+    const int U = b.shape().dim(ua), V = b.shape().dim(va);
+    const int a = g.sense > 0 ? b.shape().dim(g.axis) + 1 : 0;
+    const int qu = (g.quad & 1) * (U / 2), qv = ((g.quad >> 1) & 1) * (V / 2);
+    std::size_t o = 0;
+    for (int var = var_begin; var < var_end; ++var) {
+        switch (g.rel) {
+            case FaceRel::Same:
+                for (int u = 1; u <= U; ++u) {
+                    for (int v = 1; v <= V; ++v) cell(b, var, plane_cell(g.axis, a, u, v)) = in[o++];
+                }
+                break;
+            case FaceRel::Coarser:
+                for (int u = 1; u <= U; ++u) {
+                    for (int v = 1; v <= V; ++v) {
+                        cell(b, var, plane_cell(g.axis, a, u, v)) =
+                            in[o + static_cast<std::size_t>(((u - 1) / 2) * (V / 2) + (v - 1) / 2)];
+                    }
+                }
+                o += static_cast<std::size_t>((U / 2) * (V / 2));
+                break;
+            case FaceRel::Finer:
+                for (int u = 0; u < U / 2; ++u) {
+                    for (int v = 0; v < V / 2; ++v) {
+                        cell(b, var, plane_cell(g.axis, a, qu + u + 1, qv + v + 1)) = in[o++];
+                    }
+                }
+                break;
+        }
+    }
+}
+
+bool same_bits(const Block& a, const Block& b) {
+    return a.data_size() == b.data_size() &&
+           std::memcmp(a.data(), b.data(), a.data_size() * sizeof(double)) == 0;
+}
+
+/// The sender's view of a transfer whose receiver sees `g`.
+FaceGeom sender_view(FaceGeom g) {
+    g.sense = -g.sense;
+    if (g.rel == FaceRel::Coarser) {
+        g.rel = FaceRel::Finer;
+    } else if (g.rel == FaceRel::Finer) {
+        g.rel = FaceRel::Coarser;
+    }
+    return g;
+}
+
+/// Calls `body(g, var_begin, var_end)` for every axis × sense × relation ×
+/// quad and the var ranges [0, 3) and [1, 2).
+template <class Body>
+void for_every_face_transfer(Body body) {
+    const std::array<std::array<int, 2>, 2> var_ranges{{{0, 3}, {1, 2}}};
+    for (int axis = 0; axis < 3; ++axis) {
+        for (int sense : {-1, +1}) {
+            for (FaceRel rel : {FaceRel::Same, FaceRel::Coarser, FaceRel::Finer}) {
+                for (int quad = 0; quad < 4; ++quad) {
+                    for (const auto& [vb, ve] : var_ranges) {
+                        const FaceGeom g{axis, sense, rel, quad};
+                        SCOPED_TRACE(::testing::Message()
+                                     << "axis " << axis << " sense " << sense << " rel "
+                                     << static_cast<int>(rel) << " quad " << quad << " vars ["
+                                     << vb << ", " << ve << ")");
+                        body(g, vb, ve);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Block, CopyFaceMatchesPackUnpackOnEveryRelation) {
+    const BlockShape shape = odd_shape();
+    const Block src = make_filled(shape, 0.5);
+    for_every_face_transfer([&](const FaceGeom& g, int vb, int ve) {
+        Block copied = make_filled(shape, 7.0);
+        Block staged = make_filled(shape, 7.0);
+        copied.copy_face_from(src, g, vb, ve);
+        std::vector<double> buf(static_cast<std::size_t>(staged.face_value_count(g, ve - vb)));
+        src.pack_face(sender_view(g), vb, ve, buf);
+        staged.unpack_face(g, vb, ve, buf);
+        EXPECT_TRUE(same_bits(copied, staged)) << "copy_face_from differs from pack + unpack";
+        EXPECT_FALSE(same_bits(copied, make_filled(shape, 7.0))) << "nothing was copied";
+    });
+}
+
+TEST(Block, PackAndUnpackMatchCellByCellReference) {
+    const BlockShape shape = odd_shape();
+    const Block src = make_filled(shape, 0.5);
+    for_every_face_transfer([&](const FaceGeom& g, int vb, int ve) {
+        const std::vector<double> expect = ref_pack(src, g, vb, ve);
+        std::vector<double> buf(static_cast<std::size_t>(src.face_value_count(g, ve - vb)));
+        ASSERT_EQ(buf.size(), expect.size());
+        src.pack_face(g, vb, ve, buf);
+        EXPECT_EQ(0, std::memcmp(buf.data(), expect.data(), buf.size() * sizeof(double)))
+            << "pack_face order or values differ";
+
+        Block got = make_filled(shape, 7.0);
+        Block want = make_filled(shape, 7.0);
+        got.unpack_face(g, vb, ve, expect);
+        ref_unpack(want, g, vb, ve, expect);
+        EXPECT_TRUE(same_bits(got, want)) << "unpack_face placement differs";
+    });
+}
+
+TEST(Block, ReflectFaceMatchesReferenceOnAllFaces) {
+    const BlockShape shape = odd_shape();
+    for (int axis = 0; axis < 3; ++axis) {
+        for (int sense : {-1, +1}) {
+            SCOPED_TRACE(::testing::Message() << "axis " << axis << " sense " << sense);
+            Block got = make_filled(shape, 0.5);
+            Block want = make_filled(shape, 0.5);
+            got.reflect_face(axis, sense, 1, 3);
+            const auto [ua, va] = shape.plane_axes(axis);
+            const int a_ghost = sense > 0 ? shape.dim(axis) + 1 : 0;
+            const int a_int = sense > 0 ? shape.dim(axis) : 1;
+            for (int var = 1; var < 3; ++var) {
+                for (int u = 1; u <= shape.dim(ua); ++u) {
+                    for (int v = 1; v <= shape.dim(va); ++v) {
+                        cell(want, var, plane_cell(axis, a_ghost, u, v)) =
+                            cell(want, var, plane_cell(axis, a_int, u, v));
+                    }
+                }
+            }
+            EXPECT_TRUE(same_bits(got, want));
         }
     }
 }

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <thread>
@@ -112,6 +113,14 @@ TEST(ServeProtocol, DoneProgressStatsRoundTrip) {
     EXPECT_EQ(s2.done, 90u);
     EXPECT_EQ(s2.preemptions, 4u);
     EXPECT_EQ(s2.peak_queue, 33);
+}
+
+TEST(ServeProtocol, JobDoneCountBeyondFrameIsRejected) {
+    // A 4-byte frame claiming 2^32 - 1 checksums must not reach reserve().
+    const std::uint32_t n = 0xFFFFFFFFu;
+    std::vector<std::byte> buf(sizeof n);
+    std::memcpy(buf.data(), &n, sizeof n);
+    EXPECT_THROW(decode_job_done(buf.data(), buf.size()), Error);
 }
 
 // ---- admission control -----------------------------------------------------
