@@ -81,8 +81,8 @@ NetMeasurement measure_net() {
 
 /// One transport fast-path measurement: a real loopback world (rank
 /// threads over real TCP sockets or shm rings) standing in for the
-/// 16-node strong-scaling point's per-rank communication pattern, with
-/// zero-copy pack on. Run for tcp / shm / auto, coalescing off and on:
+/// 16-node strong-scaling point's per-rank communication pattern. Run for
+/// tcp / shm / auto, coalescing off and on:
 /// the section records the frames/bytes drop from coalescing and the
 /// tcp-vs-shm wall-time gap.
 struct TransportPoint {
@@ -117,7 +117,6 @@ TransportMeasurement measure_transport() {
     cfg.stages_per_ts = 6;
     cfg.num_refine = 2;
     cfg.workers = 2;
-    cfg.zero_copy = true;
     // Per-face messages (the paper's finest granularity): ghost traffic
     // becomes many small eager frames per neighbor, the shape coalescing
     // exists for — and the per-frame syscall cost that separates TCP
@@ -127,10 +126,7 @@ TransportMeasurement measure_transport() {
 
     core::RunOptions inproc;
     inproc.ignore_launch_env = true;
-    amr::Config ref_cfg = cfg;
-    ref_cfg.zero_copy = false;
-    const core::RunResult ref =
-        core::run_variant(ref_cfg, Variant::MpiOnly, nullptr, nullptr, inproc);
+    const core::RunResult ref = core::run_variant(cfg, Variant::MpiOnly, nullptr, nullptr, inproc);
 
     TransportMeasurement m;
     m.ranks = cfg.num_ranks();
@@ -376,15 +372,12 @@ void write_json(const char* path, const std::vector<Row>& rows, int max_nodes,
                      r.refine_s, r.gflops, r.speedup, r.efficiency, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    // Scheduler microbenchmark on the build host: the vendored pre-rewrite
-    // global-mutex runtime vs the current work-stealing runtime (see
-    // bench/sched_bench.hpp), plus the new runtime's scheduler counters.
+    // Scheduler microbenchmark on the build host: per-task cost of the
+    // work-stealing runtime (see bench/sched_bench.hpp) and its counters.
     std::fprintf(f, "  \"scheduler\": {\n");
     std::fprintf(f, "    \"workers\": %d,\n", sched.workers);
     std::fprintf(f, "    \"tasks\": %lld,\n", sched.tasks);
-    std::fprintf(f, "    \"old_fanout_ns_per_task\": %.1f,\n", sched.old_fanout_ns);
     std::fprintf(f, "    \"new_fanout_ns_per_task\": %.1f,\n", sched.new_fanout_ns);
-    std::fprintf(f, "    \"old_chain_ns_per_task\": %.1f,\n", sched.old_chain_ns);
     std::fprintf(f, "    \"new_chain_ns_per_task\": %.1f,\n", sched.new_chain_ns);
     std::fprintf(f, "    \"steal_ns\": %.1f,\n", sched.steal_ns);
     std::fprintf(f, "    \"steals\": %llu,\n",
@@ -415,9 +408,9 @@ void write_json(const char* path, const std::vector<Row>& rows, int max_nodes,
                  netm.checksums_match_inproc ? "true" : "false");
     std::fprintf(f, "  },\n");
     // Transport fast paths at the 16-node strong-scaling analog (see
-    // measure_transport): tcp vs shm vs auto, coalescing off and on, all
-    // with zero-copy pack. The coalesce rows show the frames/bytes drop;
-    // the shm rows show the wall-time win over TCP loopback.
+    // measure_transport): tcp vs shm vs auto, coalescing off and on. The
+    // coalesce rows show the frames/bytes drop; the shm rows show the
+    // wall-time win over TCP loopback.
     std::fprintf(f, "  \"transport\": {\n");
     std::fprintf(f, "    \"ranks\": %d,\n", transm.ranks);
     std::fprintf(f, "    \"strong_scaling_nodes\": %d,\n", transm.strong_scaling_nodes);
@@ -429,12 +422,12 @@ void write_json(const char* path, const std::vector<Row>& rows, int max_nodes,
                      "      {\"transport\": \"%s\", \"coalesce\": %s, \"total_s\": %.6f, "
                      "\"messages\": %llu, \"frames_sent\": %llu, \"bytes_sent\": %llu, "
                      "\"rendezvous\": %llu, \"coalesced_frames_sent\": %llu, "
-                     "\"coalesced_messages\": %llu, \"copies_elided\": %llu, "
+                     "\"coalesced_messages\": %llu, "
                      "\"checksums_match_inproc\": %s}%s\n",
                      p.transport.c_str(), p.coalesce ? "true" : "false", p.total_s,
                      u64(p.messages), u64(p.counters.frames_sent), u64(p.counters.bytes_sent),
                      u64(p.counters.rendezvous), u64(p.counters.coalesced_frames_sent),
-                     u64(p.counters.coalesced_messages), u64(p.counters.copies_elided),
+                     u64(p.counters.coalesced_messages),
                      p.checksums_match_inproc ? "true" : "false",
                      i + 1 < transm.points.size() ? "," : "");
     }
@@ -570,11 +563,10 @@ int main(int argc, char** argv) {
     const TransportMeasurement transm = measure_transport();
     for (const TransportPoint& p : transm.points) {
         std::printf("transport: %-9s coalesce=%-3s %8.3f ms, %6llu frames, %9llu bytes, "
-                    "%5llu elided copies, checksums %s\n",
+                    "checksums %s\n",
                     p.transport.c_str(), p.coalesce ? "on" : "off", p.total_s * 1e3,
                     static_cast<unsigned long long>(p.counters.frames_sent),
                     static_cast<unsigned long long>(p.counters.bytes_sent),
-                    static_cast<unsigned long long>(p.counters.copies_elided),
                     p.checksums_match_inproc ? "match inproc" : "DIVERGED");
     }
 

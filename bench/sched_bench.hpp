@@ -1,19 +1,16 @@
-// Scheduler micro-measurement shared by bench/sched_micro (the detailed
-// old-vs-new sweep) and bench/bench_json (the "scheduler" section of
-// BENCH_scaling.json). Races the vendored pre-work-stealing runtime
-// (bench/seed_sched — the global-mutex scheduler this PR replaced, with
-// identical Task/registry machinery) against the current work-stealing
+// Scheduler micro-measurement behind the "scheduler" section of
+// BENCH_scaling.json (bench/bench_json). Times the work-stealing
 // dfamr::tasking::Runtime on two workloads:
 //
 //  * fan-out — one generator task per worker spawning many independent
-//    children: stresses submission, queueing and (new runtime) stealing;
+//    children: stresses submission, queueing and stealing;
 //  * chains — C independent inout-dependency chains: stresses dependency
 //    release and the immediate-successor path, the shape AMR stencil
 //    pipelines take;
 //
 // plus the raw latency of a successful WsDeque::steal under contention.
-// The measured old/new gap is what calibrates CostModel::tasking_overhead_ns
-// for the DES (see src/sim/cost_model.hpp).
+// These per-task costs calibrate CostModel::tasking_overhead_ns for the
+// DES (see src/sim/cost_model.hpp).
 #pragma once
 
 #include <atomic>
@@ -22,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "seed_sched/runtime.hpp"
 #include "tasking/runtime.hpp"
 #include "tasking/ws_deque.hpp"
 
@@ -37,8 +33,7 @@ inline double elapsed_ns(std::chrono::steady_clock::time_point t0) {
 
 /// One generator task per worker, each spawning `per_gen` empty children.
 /// Returns ns per child task.
-template <class RT>
-double fanout_ns_per_task(RT& rt, int gens, long long per_gen) {
+inline double fanout_ns_per_task(tasking::Runtime& rt, int gens, long long per_gen) {
     std::atomic<long long> sink{0};
     const auto t0 = std::chrono::steady_clock::now();
     for (int g = 0; g < gens; ++g) {
@@ -57,16 +52,15 @@ double fanout_ns_per_task(RT& rt, int gens, long long per_gen) {
 /// `chains` independent inout chains of `links` tasks each, submitted up
 /// front — every link depends on its predecessor through a synthetic
 /// region. Returns ns per link.
-template <class RT, class MakeDeps>
-double chain_ns_per_task(RT& rt, int chains, long long links, MakeDeps deps_for) {
+inline double chain_ns_per_task(tasking::Runtime& rt, int chains, long long links) {
     std::atomic<long long> sink{0};
     const auto t0 = std::chrono::steady_clock::now();
     for (int c = 0; c < chains; ++c) {
-        // Synthetic ids spread chains across registry shards (new runtime).
+        // Synthetic ids spread chains across registry shards.
         const std::uint64_t id = (static_cast<std::uint64_t>(c) + 1) << 20;
         for (long long l = 0; l < links; ++l) {
             rt.submit([&sink] { sink.fetch_add(1, std::memory_order_relaxed); },
-                      deps_for(id));
+                      {tasking::inout_id(id)});
         }
     }
     rt.taskwait();
@@ -78,19 +72,16 @@ double chain_ns_per_task(RT& rt, int chains, long long links, MakeDeps deps_for)
 struct SchedMeasurement {
     int workers = 0;
     long long tasks = 0;
-    double old_fanout_ns = 0;  // vendored seed runtime (global mutex)
-    double new_fanout_ns = 0;  // work-stealing runtime
-    double old_chain_ns = 0;
+    double new_fanout_ns = 0;
     double new_chain_ns = 0;
     double steal_ns = 0;  // mean successful WsDeque::steal latency
-    tasking::RuntimeStats fanout_stats;  // new-runtime counters
+    tasking::RuntimeStats fanout_stats;
     tasking::RuntimeStats chain_stats;
 };
 
 /// Spawn/complete throughput + steal latency at `workers` worker threads.
-/// `tasks` is the total task count per workload per executor.
+/// `tasks` is the total task count per workload.
 inline SchedMeasurement measure_scheduler(int workers, long long tasks) {
-    namespace seed = seed_baseline::dfamr::tasking;
     SchedMeasurement m;
     m.workers = workers;
     m.tasks = tasks;
@@ -100,25 +91,13 @@ inline SchedMeasurement measure_scheduler(int workers, long long tasks) {
     const long long links = tasks / chains;
 
     {
-        seed::Runtime rt(workers);
-        m.old_fanout_ns = detail::fanout_ns_per_task(rt, workers, per_gen);
-    }
-    {
         tasking::Runtime rt(workers);
         m.new_fanout_ns = detail::fanout_ns_per_task(rt, workers, per_gen);
         m.fanout_stats = rt.stats();
     }
     {
-        seed::Runtime rt(workers);
-        m.old_chain_ns = detail::chain_ns_per_task(rt, chains, links, [](std::uint64_t id) {
-            return std::vector<seed::Dep>{seed::inout_id(id)};
-        });
-    }
-    {
         tasking::Runtime rt(workers);
-        m.new_chain_ns = detail::chain_ns_per_task(rt, chains, links, [](std::uint64_t id) {
-            return std::vector<tasking::Dep>{tasking::inout_id(id)};
-        });
+        m.new_chain_ns = detail::chain_ns_per_task(rt, chains, links);
         m.chain_stats = rt.stats();
     }
 

@@ -88,9 +88,6 @@ void Config::register_cli(CliParser& cli) {
                    "max communication tasks per direction and neighbor with --send_faces "
                    "(0 = one per face; paper §IV-A)",
                    "0");
-    cli.add_flag("--zero_copy",
-                 "pack faces directly into transport frames and unpack from received "
-                 "frames (MpiOnly / ForkJoin; TampiOss ignores it)");
     cli.add_flag("--delayed_checksum", "validate the previous checksum stage (paper §IV-C)");
     cli.add_flag("--serial_refinement",
                  "ablation: keep refinement data operations sequential (pre-paper behaviour)");
@@ -146,7 +143,6 @@ Config Config::from_cli(const CliParser& cli, Config base) {
     if (cli.get_flag("--send_faces")) cfg.send_faces = true;
     if (cli.get_flag("--separate_buffers")) cfg.separate_buffers = true;
     set_int("--max_comm_tasks", cfg.max_comm_tasks);
-    if (cli.get_flag("--zero_copy")) cfg.zero_copy = true;
     if (cli.get_flag("--delayed_checksum")) cfg.delayed_checksum = true;
     if (cli.get_flag("--serial_refinement")) cfg.taskify_refinement = false;
     set_int("--workers", cfg.workers);

@@ -79,13 +79,6 @@ struct Config {
     bool separate_buffers = false;  // per-direction comm buffers (kills false deps)
     int max_comm_tasks = 0;       // with send_faces: max messages per direction and
                                   // neighbor; 0 = one per face (§IV-A)
-    // Zero-copy pack/unpack: faces are packed directly into the transport
-    // frame and unpacked straight out of the received frame, eliminating
-    // both staging copies. Honoured by the MpiOnly and ForkJoin variants;
-    // TampiOss ignores it (its task dependencies are declared on the
-    // persistent staging buffers, which per-message transient frames would
-    // invalidate — the same reason --separate_buffers exists).
-    bool zero_copy = false;
 
     // --- TAMPI+OSS specific ---------------------------------------------------
     bool delayed_checksum = false;  // §IV-C taskwait-with-deps optimization

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <deque>
 
 #include "common/timing.hpp"
 #include "core/sched_telemetry.hpp"
@@ -33,71 +32,59 @@ void ForkJoinDriver::pfor(std::int64_t n, const std::function<void(std::int64_t)
     tasking::parallel_for(rt_, 0, n, fn);
 }
 
-void ForkJoinDriver::communicate_stage(int group) {
-    Stopwatch sw;
-    sw.start();
-    const int gb = group_begin(group), ge = group_end(group);
-    for (int dir = 0; dir < 3; ++dir) {
-        exchange_direction(dir, gb, ge);
-    }
-    sw.stop();
-    result_.times.comm += sw.elapsed_s();
-}
-
-void ForkJoinDriver::exchange_direction(int dir, int gb, int ge) {
-    if (cfg_.zero_copy) {
-        exchange_direction_zero_copy(dir, gb, ge);
-        return;
-    }
-    const amr::DirectionPlan& dp = plan_.direction(dir);
+template <class SendStream, class RecvStream, class Pack, class Copy, class Unpack>
+void ForkJoinDriver::exchange(int dir, int gb, int ge,
+                              const std::vector<amr::NeighborExchange>& neighbors,
+                              const std::vector<amr::IntraCopy>& copies,
+                              std::span<const std::pair<BlockKey, int>> boundary,
+                              SendStream send_stream, RecvStream recv_stream, Pack pack, Copy copy,
+                              Unpack unpack) {
     const int gvars = ge - gb;
+    const auto section = [gvars](std::span<double> stream, std::int64_t offset,
+                                 std::int64_t count) {
+        return stream.subspan(static_cast<std::size_t>(offset * gvars),
+                              static_cast<std::size_t>(count * gvars));
+    };
 
     // Master posts all receives.
     std::vector<mpi::Request> recv_reqs;
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        const amr::NeighborExchange& ex = dp.neighbors[ni];
-        auto stream = buffers_->recv_stream(dir, static_cast<int>(ni));
+    for (std::size_t ni = 0; ni < neighbors.size(); ++ni) {
+        const amr::NeighborExchange& ex = neighbors[ni];
+        const std::span<double> stream = recv_stream(static_cast<int>(ni));
         for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-            auto span = stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                       static_cast<std::size_t>(chunk.value_count * gvars));
+            auto span = section(stream, chunk.value_offset, chunk.value_count);
             recv_reqs.push_back(hcomm_.irecv(span.data(), span.size_bytes(), ex.peer, chunk.tag));
         }
     }
 
     // Worksharing loop over all faces to pack (implicit barrier at the end).
-    struct PackJob {
-        const amr::NeighborExchange* ex;
+    struct FaceJob {
         const amr::FaceTransfer* face;
         int neighbor_index;
     };
-    std::vector<PackJob> pack_jobs;
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        for (const amr::FaceTransfer& face : dp.neighbors[ni].sends) {
-            pack_jobs.push_back(PackJob{&dp.neighbors[ni], &face, static_cast<int>(ni)});
+    std::vector<FaceJob> pack_jobs;
+    for (std::size_t ni = 0; ni < neighbors.size(); ++ni) {
+        for (const amr::FaceTransfer& face : neighbors[ni].sends) {
+            pack_jobs.push_back(FaceJob{&face, static_cast<int>(ni)});
         }
     }
     pfor(static_cast<std::int64_t>(pack_jobs.size()), [&](std::int64_t i) {
-        const PackJob& job = pack_jobs[static_cast<std::size_t>(i)];
-        auto stream = buffers_->send_stream(dir, job.neighbor_index);
-        auto section =
-            stream.subspan(static_cast<std::size_t>(job.face->value_offset * gvars),
-                           static_cast<std::size_t>(job.face->value_count * gvars));
+        const FaceJob& job = pack_jobs[static_cast<std::size_t>(i)];
+        auto out = section(send_stream(job.neighbor_index), job.face->value_offset,
+                           job.face->value_count);
         const std::int64_t t0 = now_ns();
-        DFAMR_CHECK_READ(mesh_.block(job.face->mine).group_span(gb, ge).data(),
-                         mesh_.block(job.face->mine).group_span(gb, ge).size_bytes());
-        DFAMR_CHECK_WRITE(section.data(), section.size_bytes());
-        mesh_.block(job.face->mine).pack_face(job.face->geom, gb, ge, section);
+        DFAMR_CHECK_WRITE(out.data(), out.size_bytes());
+        pack(*job.face, out);
         trace(worker_index(), t0, now_ns(), PhaseKind::Pack);
     });
 
     // Master sends every chunk (all MPI stays on the master thread).
     std::vector<mpi::Request> send_reqs;
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        const amr::NeighborExchange& ex = dp.neighbors[ni];
-        auto stream = buffers_->send_stream(dir, static_cast<int>(ni));
+    for (std::size_t ni = 0; ni < neighbors.size(); ++ni) {
+        const amr::NeighborExchange& ex = neighbors[ni];
+        const std::span<double> stream = send_stream(static_cast<int>(ni));
         for (const amr::MessageChunk& chunk : ex.send_chunks) {
-            auto span = stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                       static_cast<std::size_t>(chunk.value_count * gvars));
+            auto span = section(stream, chunk.value_offset, chunk.value_count);
             const std::int64_t t0 = now_ns();
             send_reqs.push_back(hcomm_.isend(span.data(), span.size_bytes(), ex.peer, chunk.tag));
             trace(0, t0, now_ns(), PhaseKind::Send);
@@ -105,14 +92,13 @@ void ForkJoinDriver::exchange_direction(int dir, int gb, int ge) {
     }
 
     // Intra-process copies + boundary reflection, workshared.
-    pfor(static_cast<std::int64_t>(dp.copies.size()), [&](std::int64_t i) {
-        const amr::IntraCopy& copy = dp.copies[static_cast<std::size_t>(i)];
+    pfor(static_cast<std::int64_t>(copies.size()), [&](std::int64_t i) {
         const std::int64_t t0 = now_ns();
-        mesh_.block(copy.dst).copy_face_from(mesh_.block(copy.src), copy.geom, gb, ge);
+        copy(copies[static_cast<std::size_t>(i)]);
         trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
     });
-    pfor(static_cast<std::int64_t>(dp.boundary.size()), [&](std::int64_t i) {
-        const auto& [key, sense] = dp.boundary[static_cast<std::size_t>(i)];
+    pfor(static_cast<std::int64_t>(boundary.size()), [&](std::int64_t i) {
+        const auto& [key, sense] = boundary[static_cast<std::size_t>(i)];
         mesh_.block(key).reflect_face(dir, sense, gb, ge);
     });
 
@@ -122,27 +108,19 @@ void ForkJoinDriver::exchange_direction(int dir, int gb, int ge) {
     hcomm_.wait_all(std::span<mpi::Request>(recv_reqs));
     trace(0, t0, now_ns(), PhaseKind::CommWait);
 
-    struct UnpackJob {
-        const amr::FaceTransfer* face;
-        int neighbor_index;
-    };
-    std::vector<UnpackJob> unpack_jobs;
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        for (const amr::FaceTransfer& face : dp.neighbors[ni].recvs) {
-            unpack_jobs.push_back(UnpackJob{&face, static_cast<int>(ni)});
+    std::vector<FaceJob> unpack_jobs;
+    for (std::size_t ni = 0; ni < neighbors.size(); ++ni) {
+        for (const amr::FaceTransfer& face : neighbors[ni].recvs) {
+            unpack_jobs.push_back(FaceJob{&face, static_cast<int>(ni)});
         }
     }
     pfor(static_cast<std::int64_t>(unpack_jobs.size()), [&](std::int64_t i) {
-        const UnpackJob& job = unpack_jobs[static_cast<std::size_t>(i)];
-        auto stream = buffers_->recv_stream(dir, job.neighbor_index);
-        auto section =
-            stream.subspan(static_cast<std::size_t>(job.face->value_offset * gvars),
-                           static_cast<std::size_t>(job.face->value_count * gvars));
+        const FaceJob& job = unpack_jobs[static_cast<std::size_t>(i)];
+        auto in = section(recv_stream(job.neighbor_index), job.face->value_offset,
+                          job.face->value_count);
         const std::int64_t t1 = now_ns();
-        DFAMR_CHECK_READ(section.data(), section.size_bytes());
-        DFAMR_CHECK_WRITE(mesh_.block(job.face->mine).group_span(gb, ge).data(),
-                          mesh_.block(job.face->mine).group_span(gb, ge).size_bytes());
-        mesh_.block(job.face->mine).unpack_face(job.face->geom, gb, ge, section);
+        DFAMR_CHECK_READ(in.data(), in.size_bytes());
+        unpack(*job.face, in);
         trace(worker_index(), t1, now_ns(), PhaseKind::Unpack);
     });
 
@@ -151,120 +129,33 @@ void ForkJoinDriver::exchange_direction(int dir, int gb, int ge) {
     trace(0, t2, now_ns(), PhaseKind::CommWait);
 }
 
-void ForkJoinDriver::exchange_direction_zero_copy(int dir, int gb, int ge) {
-    // Mirrors exchange_direction with each chunk owning a transport frame:
-    // pack worksharing targets the frame payloads directly, and unpack
-    // worksharing reads the received frames in place (no staging streams).
-    const amr::DirectionPlan& dp = plan_.direction(dir);
-    const int gvars = ge - gb;
-
-    struct RecvSlot {
-        int neighbor_index;
-        const amr::MessageChunk* chunk;
-    };
-    std::vector<mpi::Request> recv_reqs;
-    std::vector<RecvSlot> recv_slots;
-    std::deque<mpi::RxView> views;  // stable addresses while in flight
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        const amr::NeighborExchange& ex = dp.neighbors[ni];
-        for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-            const std::size_t bytes =
-                static_cast<std::size_t>(chunk.value_count * gvars) * sizeof(double);
-            views.emplace_back();
-            recv_reqs.push_back(hcomm_.irecv_view(&views.back(), bytes, ex.peer, chunk.tag));
-            recv_slots.push_back(RecvSlot{static_cast<int>(ni), &chunk});
-        }
+void ForkJoinDriver::communicate_stage(int group) {
+    Stopwatch sw;
+    sw.start();
+    const int gb = group_begin(group), ge = group_end(group);
+    for (int dir = 0; dir < 3; ++dir) {
+        const amr::DirectionPlan& dp = plan_.direction(dir);
+        exchange(
+            dir, gb, ge, dp.neighbors, dp.copies, dp.boundary,
+            [&](int ni) { return buffers_->send_stream(dir, ni); },
+            [&](int ni) { return buffers_->recv_stream(dir, ni); },
+            [&](const amr::FaceTransfer& face, std::span<double> out) {
+                const Block& blk = mesh_.block(face.mine);
+                DFAMR_CHECK_READ(blk.group_span(gb, ge).data(), blk.group_span(gb, ge).size_bytes());
+                blk.pack_face(face.geom, gb, ge, out);
+            },
+            [&](const amr::IntraCopy& copy) {
+                mesh_.block(copy.dst).copy_face_from(mesh_.block(copy.src), copy.geom, gb, ge);
+            },
+            [&](const amr::FaceTransfer& face, std::span<const double> in) {
+                Block& blk = mesh_.block(face.mine);
+                DFAMR_CHECK_WRITE(blk.group_span(gb, ge).data(),
+                                  blk.group_span(gb, ge).size_bytes());
+                blk.unpack_face(face.geom, gb, ge, in);
+            });
     }
-
-    // One frame per send chunk, created by the master; the workshared pack
-    // loop fills disjoint face sections of them.
-    struct SendChunk {
-        const amr::NeighborExchange* ex;
-        const amr::MessageChunk* chunk;
-        mpi::TxBuffer tx;
-    };
-    std::vector<SendChunk> send_chunks;
-    struct PackJob {
-        const amr::FaceTransfer* face;
-        std::size_t chunk_index;
-    };
-    std::vector<PackJob> pack_jobs;
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        const amr::NeighborExchange& ex = dp.neighbors[ni];
-        for (const amr::MessageChunk& chunk : ex.send_chunks) {
-            const std::size_t bytes =
-                static_cast<std::size_t>(chunk.value_count * gvars) * sizeof(double);
-            send_chunks.push_back(SendChunk{&ex, &chunk, mpi::make_tx_buffer(bytes)});
-            for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
-                pack_jobs.push_back(
-                    PackJob{&ex.sends[static_cast<std::size_t>(f)], send_chunks.size() - 1});
-            }
-        }
-    }
-    pfor(static_cast<std::int64_t>(pack_jobs.size()), [&](std::int64_t i) {
-        const PackJob& job = pack_jobs[static_cast<std::size_t>(i)];
-        SendChunk& sc = send_chunks[job.chunk_index];
-        auto section = sc.tx.payload.subspan(
-            static_cast<std::size_t>((job.face->value_offset - sc.chunk->value_offset) * gvars) *
-                sizeof(double),
-            static_cast<std::size_t>(job.face->value_count * gvars) * sizeof(double));
-        const std::int64_t t0 = now_ns();
-        mesh_.block(job.face->mine).pack_face(job.face->geom, gb, ge, section);
-        trace(worker_index(), t0, now_ns(), PhaseKind::Pack);
-    });
-
-    std::vector<mpi::Request> send_reqs;
-    for (const SendChunk& sc : send_chunks) {
-        const std::int64_t t0 = now_ns();
-        send_reqs.push_back(hcomm_.isend_tx(sc.tx, sc.ex->peer, sc.chunk->tag));
-        trace(0, t0, now_ns(), PhaseKind::Send);
-    }
-
-    pfor(static_cast<std::int64_t>(dp.copies.size()), [&](std::int64_t i) {
-        const amr::IntraCopy& copy = dp.copies[static_cast<std::size_t>(i)];
-        const std::int64_t t0 = now_ns();
-        mesh_.block(copy.dst).copy_face_from(mesh_.block(copy.src), copy.geom, gb, ge);
-        trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
-    });
-    pfor(static_cast<std::int64_t>(dp.boundary.size()), [&](std::int64_t i) {
-        const auto& [key, sense] = dp.boundary[static_cast<std::size_t>(i)];
-        mesh_.block(key).reflect_face(dir, sense, gb, ge);
-    });
-
-    const std::int64_t t0 = now_ns();
-    hcomm_.wait_all(std::span<mpi::Request>(recv_reqs));
-    trace(0, t0, now_ns(), PhaseKind::CommWait);
-
-    struct UnpackJob {
-        const amr::FaceTransfer* face;
-        const amr::MessageChunk* chunk;
-        const mpi::RxView* view;
-    };
-    std::vector<UnpackJob> unpack_jobs;
-    for (std::size_t s = 0; s < recv_slots.size(); ++s) {
-        const RecvSlot& slot = recv_slots[s];
-        const amr::NeighborExchange& ex =
-            dp.neighbors[static_cast<std::size_t>(slot.neighbor_index)];
-        for (int f = slot.chunk->first_face; f < slot.chunk->first_face + slot.chunk->face_count;
-             ++f) {
-            unpack_jobs.push_back(
-                UnpackJob{&ex.recvs[static_cast<std::size_t>(f)], slot.chunk, &views[s]});
-        }
-    }
-    pfor(static_cast<std::int64_t>(unpack_jobs.size()), [&](std::int64_t i) {
-        const UnpackJob& job = unpack_jobs[static_cast<std::size_t>(i)];
-        auto section = job.view->payload.subspan(
-            static_cast<std::size_t>((job.face->value_offset - job.chunk->value_offset) * gvars) *
-                sizeof(double),
-            static_cast<std::size_t>(job.face->value_count * gvars) * sizeof(double));
-        const std::int64_t t1 = now_ns();
-        mesh_.block(job.face->mine).unpack_face(job.face->geom, gb, ge, section);
-        trace(worker_index(), t1, now_ns(), PhaseKind::Unpack);
-    });
-
-    const std::int64_t t2 = now_ns();
-    hcomm_.wait_all(std::span<mpi::Request>(send_reqs));
-    trace(0, t2, now_ns(), PhaseKind::CommWait);
+    sw.stop();
+    result_.times.comm += sw.elapsed_s();
 }
 
 void ForkJoinDriver::stencil_stage(int group) {
@@ -287,110 +178,29 @@ void ForkJoinDriver::stencil_stage(int group) {
 }
 
 void ForkJoinDriver::reflux_stage(int group) {
-    // Same master-MPI / workshared-compute split as exchange_direction, over
-    // the flux plan: workers restrict and apply register corrections (faces
-    // touch disjoint cells, so static worksharing is race-free), the master
-    // does every MPI call and the deterministic boundary tally.
+    // The ghost-fill exchange over the flux plan: workers restrict and apply
+    // register corrections (faces touch disjoint cells, so static
+    // worksharing is race-free), the master does every MPI call and the
+    // deterministic boundary tally.
     Stopwatch sw;
     sw.start();
     const int gb = group_begin(group), ge = group_end(group);
-    const int gvars = ge - gb;
     for (int dir = 0; dir < 3; ++dir) {
         const amr::FluxPlan::Direction& fd = flux_plan_.direction(dir);
         auto& send_bufs = flux_send_[static_cast<std::size_t>(dir)];
         auto& recv_bufs = flux_recv_[static_cast<std::size_t>(dir)];
-
-        // Master posts all receives.
-        std::vector<mpi::Request> recv_reqs;
-        for (std::size_t ni = 0; ni < fd.neighbors.size(); ++ni) {
-            const amr::NeighborExchange& ex = fd.neighbors[ni];
-            std::span<double> stream(recv_bufs[ni]);
-            for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-                auto span = stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                           static_cast<std::size_t>(chunk.value_count * gvars));
-                recv_reqs.push_back(
-                    hcomm_.irecv(span.data(), span.size_bytes(), ex.peer, chunk.tag));
-            }
-        }
-
-        // Workshared restriction of fine registers into the send streams.
-        struct PackJob {
-            const amr::FaceTransfer* face;
-            int neighbor_index;
-        };
-        std::vector<PackJob> pack_jobs;
-        for (std::size_t ni = 0; ni < fd.neighbors.size(); ++ni) {
-            for (const amr::FaceTransfer& face : fd.neighbors[ni].sends) {
-                pack_jobs.push_back(PackJob{&face, static_cast<int>(ni)});
-            }
-        }
-        pfor(static_cast<std::int64_t>(pack_jobs.size()), [&](std::int64_t i) {
-            const PackJob& job = pack_jobs[static_cast<std::size_t>(i)];
-            std::span<double> stream(send_bufs[static_cast<std::size_t>(job.neighbor_index)]);
-            auto section =
-                stream.subspan(static_cast<std::size_t>(job.face->value_offset * gvars),
-                               static_cast<std::size_t>(job.face->value_count * gvars));
-            const std::int64_t t0 = now_ns();
-            DFAMR_CHECK_WRITE(section.data(), section.size_bytes());
-            flux_register(job.face->mine)
-                .pack_restricted(job.face->geom.axis, job.face->geom.sense, gb, ge, section);
-            trace(worker_index(), t0, now_ns(), PhaseKind::Pack);
-        });
-
-        // Master sends every chunk.
-        std::vector<mpi::Request> send_reqs;
-        for (std::size_t ni = 0; ni < fd.neighbors.size(); ++ni) {
-            const amr::NeighborExchange& ex = fd.neighbors[ni];
-            std::span<double> stream(send_bufs[ni]);
-            for (const amr::MessageChunk& chunk : ex.send_chunks) {
-                auto span = stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                           static_cast<std::size_t>(chunk.value_count * gvars));
-                const std::int64_t t0 = now_ns();
-                send_reqs.push_back(
-                    hcomm_.isend(span.data(), span.size_bytes(), ex.peer, chunk.tag));
-                trace(0, t0, now_ns(), PhaseKind::Send);
-            }
-        }
-
-        // Workshared intra-rank refluxes while messages are in flight.
-        pfor(static_cast<std::int64_t>(fd.copies.size()), [&](std::int64_t i) {
-            const amr::IntraCopy& copy = fd.copies[static_cast<std::size_t>(i)];
-            const std::int64_t t0 = now_ns();
-            apply_intra_flux(copy, gb, ge);
-            trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
-        });
-
-        // Master waits for all receives, then a workshared apply loop.
-        const std::int64_t t0 = now_ns();
-        hcomm_.wait_all(std::span<mpi::Request>(recv_reqs));
-        trace(0, t0, now_ns(), PhaseKind::CommWait);
-
-        struct ApplyJob {
-            const amr::FaceTransfer* face;
-            int neighbor_index;
-        };
-        std::vector<ApplyJob> apply_jobs;
-        for (std::size_t ni = 0; ni < fd.neighbors.size(); ++ni) {
-            for (const amr::FaceTransfer& face : fd.neighbors[ni].recvs) {
-                apply_jobs.push_back(ApplyJob{&face, static_cast<int>(ni)});
-            }
-        }
-        pfor(static_cast<std::int64_t>(apply_jobs.size()), [&](std::int64_t i) {
-            const ApplyJob& job = apply_jobs[static_cast<std::size_t>(i)];
-            std::span<const double> stream(recv_bufs[static_cast<std::size_t>(job.neighbor_index)]);
-            auto section =
-                stream.subspan(static_cast<std::size_t>(job.face->value_offset * gvars),
-                               static_cast<std::size_t>(job.face->value_count * gvars));
-            const std::int64_t t1 = now_ns();
-            DFAMR_CHECK_READ(section.data(), section.size_bytes());
-            apply_flux_correction(*job.face, gb, ge, section);
-            trace(worker_index(), t1, now_ns(), PhaseKind::Unpack);
-        });
-
-        const std::int64_t t2 = now_ns();
-        hcomm_.wait_all(std::span<mpi::Request>(send_reqs));
-        trace(0, t2, now_ns(), PhaseKind::CommWait);
-
+        exchange(
+            dir, gb, ge, fd.neighbors, fd.copies, {},
+            [&](int ni) { return std::span<double>(send_bufs[static_cast<std::size_t>(ni)]); },
+            [&](int ni) { return std::span<double>(recv_bufs[static_cast<std::size_t>(ni)]); },
+            [&](const amr::FaceTransfer& face, std::span<double> out) {
+                flux_register(face.mine).pack_restricted(face.geom.axis, face.geom.sense, gb, ge,
+                                                         out);
+            },
+            [&](const amr::IntraCopy& copy) { apply_intra_flux(copy, gb, ge); },
+            [&](const amr::FaceTransfer& face, std::span<const double> in) {
+                apply_flux_correction(face, gb, ge, in);
+            });
         // Deterministic mass-budget tally on the master.
         accumulate_boundary_outflux(dir, gb, ge);
     }

@@ -34,10 +34,18 @@ protected:
     int worker_index() override;
 
 private:
-    void exchange_direction(int dir, int gb, int ge);
-    /// --zero_copy fast path: workshared pack straight into transport
-    /// frames, workshared unpack straight out of received frames.
-    void exchange_direction_zero_copy(int dir, int gb, int ge);
+    /// One direction of the ghost fill or the reflux pass: the master posts
+    /// every receive, a workshared loop packs all faces, the master sends
+    /// every chunk, workshared loops run the intra-rank copies and reflect
+    /// `boundary`, the master waits for all receives, a workshared loop
+    /// unpacks, and the master waits on the sends. Callers supply the
+    /// streams (per neighbour index) and the face operations: pack(face,
+    /// out), copy(intra_copy), unpack(face, in).
+    template <class SendStream, class RecvStream, class Pack, class Copy, class Unpack>
+    void exchange(int dir, int gb, int ge, const std::vector<amr::NeighborExchange>& neighbors,
+                  const std::vector<amr::IntraCopy>& copies,
+                  std::span<const std::pair<BlockKey, int>> boundary, SendStream send_stream,
+                  RecvStream recv_stream, Pack pack, Copy copy, Unpack unpack);
     /// parallel-for with the implicit barrier of an OpenMP region.
     void pfor(std::int64_t n, const std::function<void(std::int64_t)>& fn);
 

@@ -107,12 +107,11 @@ std::string metrics_to_json(const MetricsSnapshot& m) {
                   "    \"reconnects\": %" PRIu64 ",\n"
                   "    \"coalesced_frames_sent\": %" PRIu64 ",\n"
                   "    \"coalesced_messages\": %" PRIu64 ",\n"
-                  "    \"copies_elided\": %" PRIu64 ",\n"
                   "    \"rndv_threshold\": %" PRIu64 ",\n",
                   u64(m.net.bytes_sent), u64(m.net.bytes_received), u64(m.net.frames_sent),
                   u64(m.net.frames_received), u64(m.net.rendezvous), u64(m.net.reconnects),
                   u64(m.net.coalesced_frames_sent), u64(m.net.coalesced_messages),
-                  u64(m.net.copies_elided), u64(m.rndv_threshold));
+                  u64(m.rndv_threshold));
     out += buf;
     out += "    \"peers\": [";
     for (std::size_t p = 0; p < m.net_peers.size(); ++p) {

@@ -3,33 +3,24 @@
 // miniAMR with Rico et al.'s data-layout changes).
 #include "core/mpi_only.hpp"
 
-#include <deque>
-
 #include "common/timing.hpp"
 #include "verify/access_check.hpp"
 
 namespace dfamr::core {
 
-void MpiOnlyDriver::communicate_stage(int group) {
-    Stopwatch sw;
-    sw.start();
-    const int gb = group_begin(group), ge = group_end(group);
-    // Directions are processed strictly one after another: they share the
-    // same communication buffers (Algorithm 2).
-    for (int dir = 0; dir < 3; ++dir) {
-        exchange_direction(dir, gb, ge);
-    }
-    sw.stop();
-    result_.times.comm += sw.elapsed_s();
-}
-
-void MpiOnlyDriver::exchange_direction(int dir, int gb, int ge) {
-    if (cfg_.zero_copy) {
-        exchange_direction_zero_copy(dir, gb, ge);
-        return;
-    }
-    const amr::DirectionPlan& dp = plan_.direction(dir);
+template <class SendStream, class RecvStream, class Pack, class Copy, class Unpack>
+void MpiOnlyDriver::exchange(int dir, int gb, int ge,
+                             const std::vector<amr::NeighborExchange>& neighbors,
+                             const std::vector<amr::IntraCopy>& copies,
+                             std::span<const std::pair<BlockKey, int>> boundary,
+                             SendStream send_stream, RecvStream recv_stream, Pack pack, Copy copy,
+                             Unpack unpack) {
     const int gvars = ge - gb;
+    const auto section = [gvars](std::span<double> stream, std::int64_t offset,
+                                 std::int64_t count) {
+        return stream.subspan(static_cast<std::size_t>(offset * gvars),
+                              static_cast<std::size_t>(count * gvars));
+    };
 
     // 1) Post all receives for this direction (Algorithm 2, line 2).
     struct RecvSlot {
@@ -38,35 +29,31 @@ void MpiOnlyDriver::exchange_direction(int dir, int gb, int ge) {
     };
     std::vector<mpi::Request> recv_reqs;
     std::vector<RecvSlot> recv_slots;
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        const amr::NeighborExchange& ex = dp.neighbors[ni];
-        auto stream = buffers_->recv_stream(dir, static_cast<int>(ni));
+    for (std::size_t ni = 0; ni < neighbors.size(); ++ni) {
+        const amr::NeighborExchange& ex = neighbors[ni];
+        const std::span<double> stream = recv_stream(static_cast<int>(ni));
         for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-            auto span = stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                       static_cast<std::size_t>(chunk.value_count * gvars));
-            recv_reqs.push_back(
-                hcomm_.irecv(span.data(), span.size_bytes(), ex.peer, chunk.tag));
+            auto span = section(stream, chunk.value_offset, chunk.value_count);
+            recv_reqs.push_back(hcomm_.irecv(span.data(), span.size_bytes(), ex.peer, chunk.tag));
             recv_slots.push_back(RecvSlot{static_cast<int>(ni), &chunk});
         }
     }
 
-    // 2) Pack faces and send (lines 7-10).
+    // 2) Pack faces and send, chunk by chunk (lines 7-10).
     std::vector<mpi::Request> send_reqs;
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        const amr::NeighborExchange& ex = dp.neighbors[ni];
-        auto stream = buffers_->send_stream(dir, static_cast<int>(ni));
+    for (std::size_t ni = 0; ni < neighbors.size(); ++ni) {
+        const amr::NeighborExchange& ex = neighbors[ni];
+        const std::span<double> stream = send_stream(static_cast<int>(ni));
         for (const amr::MessageChunk& chunk : ex.send_chunks) {
             const std::int64_t t0 = now_ns();
             for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
                 const amr::FaceTransfer& face = ex.sends[static_cast<std::size_t>(f)];
-                auto section = stream.subspan(static_cast<std::size_t>(face.value_offset * gvars),
-                                              static_cast<std::size_t>(face.value_count * gvars));
-                DFAMR_CHECK_WRITE(section.data(), section.size_bytes());
-                mesh_.block(face.mine).pack_face(face.geom, gb, ge, section);
+                auto out = section(stream, face.value_offset, face.value_count);
+                DFAMR_CHECK_WRITE(out.data(), out.size_bytes());
+                pack(face, out);
             }
             trace(0, t0, now_ns(), PhaseKind::Pack);
-            auto span = stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                       static_cast<std::size_t>(chunk.value_count * gvars));
+            auto span = section(stream, chunk.value_offset, chunk.value_count);
             const std::int64_t t1 = now_ns();
             send_reqs.push_back(hcomm_.isend(span.data(), span.size_bytes(), ex.peer, chunk.tag));
             trace(0, t1, now_ns(), PhaseKind::Send);
@@ -74,12 +61,12 @@ void MpiOnlyDriver::exchange_direction(int dir, int gb, int ge) {
     }
 
     // 3) Intra-process exchange while messages are in flight (line 13).
-    for (const amr::IntraCopy& copy : dp.copies) {
+    for (const amr::IntraCopy& c : copies) {
         const std::int64_t t0 = now_ns();
-        mesh_.block(copy.dst).copy_face_from(mesh_.block(copy.src), copy.geom, gb, ge);
+        copy(c);
         trace(0, t0, now_ns(), PhaseKind::IntraCopy);
     }
-    for (const auto& [key, sense] : dp.boundary) {
+    for (const auto& [key, sense] : boundary) {
         mesh_.block(key).reflect_face(dir, sense, gb, ge);
     }
 
@@ -90,16 +77,15 @@ void MpiOnlyDriver::exchange_direction(int dir, int gb, int ge) {
         trace(0, t0, now_ns(), PhaseKind::CommWait);
         if (idx == mpi::kUndefined) break;
         const RecvSlot& slot = recv_slots[static_cast<std::size_t>(idx)];
-        const amr::NeighborExchange& ex = dp.neighbors[static_cast<std::size_t>(slot.neighbor_index)];
-        auto stream = buffers_->recv_stream(dir, slot.neighbor_index);
+        const amr::NeighborExchange& ex = neighbors[static_cast<std::size_t>(slot.neighbor_index)];
+        const std::span<double> stream = recv_stream(slot.neighbor_index);
         const std::int64_t t1 = now_ns();
         for (int f = slot.chunk->first_face; f < slot.chunk->first_face + slot.chunk->face_count;
              ++f) {
             const amr::FaceTransfer& face = ex.recvs[static_cast<std::size_t>(f)];
-            auto section = stream.subspan(static_cast<std::size_t>(face.value_offset * gvars),
-                                          static_cast<std::size_t>(face.value_count * gvars));
-            DFAMR_CHECK_READ(section.data(), section.size_bytes());
-            mesh_.block(face.mine).unpack_face(face.geom, gb, ge, section);
+            auto in = section(stream, face.value_offset, face.value_count);
+            DFAMR_CHECK_READ(in.data(), in.size_bytes());
+            unpack(face, in);
         }
         trace(0, t1, now_ns(), PhaseKind::Unpack);
     }
@@ -110,185 +96,57 @@ void MpiOnlyDriver::exchange_direction(int dir, int gb, int ge) {
     trace(0, t0, now_ns(), PhaseKind::CommWait);
 }
 
-void MpiOnlyDriver::exchange_direction_zero_copy(int dir, int gb, int ge) {
-    // Same structure as exchange_direction, but each chunk owns a transport
-    // frame: pack writes into the frame payload that goes on the wire, and
-    // unpack reads the received frame in place — no staging copies on either
-    // side (the staging streams of buffers_ are never touched).
-    const amr::DirectionPlan& dp = plan_.direction(dir);
-    const int gvars = ge - gb;
-
-    struct RecvSlot {
-        int neighbor_index;
-        const amr::MessageChunk* chunk;
-    };
-    std::vector<mpi::Request> recv_reqs;
-    std::vector<RecvSlot> recv_slots;
-    // Views are addressed by the delivery path until matched: the deque
-    // grows only before the requests are waited on, and deques never move
-    // their elements.
-    std::deque<mpi::RxView> views;
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        const amr::NeighborExchange& ex = dp.neighbors[ni];
-        for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-            const std::size_t bytes =
-                static_cast<std::size_t>(chunk.value_count * gvars) * sizeof(double);
-            views.emplace_back();
-            recv_reqs.push_back(hcomm_.irecv_view(&views.back(), bytes, ex.peer, chunk.tag));
-            recv_slots.push_back(RecvSlot{static_cast<int>(ni), &chunk});
-        }
-    }
-
-    std::vector<mpi::Request> send_reqs;
-    for (std::size_t ni = 0; ni < dp.neighbors.size(); ++ni) {
-        const amr::NeighborExchange& ex = dp.neighbors[ni];
-        for (const amr::MessageChunk& chunk : ex.send_chunks) {
-            const std::size_t bytes =
-                static_cast<std::size_t>(chunk.value_count * gvars) * sizeof(double);
-            mpi::TxBuffer tx = mpi::make_tx_buffer(bytes);
-            const std::int64_t t0 = now_ns();
-            for (int f = chunk.first_face; f < chunk.first_face + chunk.face_count; ++f) {
-                const amr::FaceTransfer& face = ex.sends[static_cast<std::size_t>(f)];
-                auto section = tx.payload.subspan(
-                    static_cast<std::size_t>((face.value_offset - chunk.value_offset) * gvars) *
-                        sizeof(double),
-                    static_cast<std::size_t>(face.value_count * gvars) * sizeof(double));
-                mesh_.block(face.mine).pack_face(face.geom, gb, ge, section);
-            }
-            trace(0, t0, now_ns(), PhaseKind::Pack);
-            const std::int64_t t1 = now_ns();
-            send_reqs.push_back(hcomm_.isend_tx(tx, ex.peer, chunk.tag));
-            trace(0, t1, now_ns(), PhaseKind::Send);
-        }
-    }
-
-    for (const amr::IntraCopy& copy : dp.copies) {
-        const std::int64_t t0 = now_ns();
-        mesh_.block(copy.dst).copy_face_from(mesh_.block(copy.src), copy.geom, gb, ge);
-        trace(0, t0, now_ns(), PhaseKind::IntraCopy);
-    }
-    for (const auto& [key, sense] : dp.boundary) {
-        mesh_.block(key).reflect_face(dir, sense, gb, ge);
-    }
-
-    while (true) {
-        const std::int64_t t0 = now_ns();
-        const int idx = hcomm_.wait_any(std::span<mpi::Request>(recv_reqs));
-        trace(0, t0, now_ns(), PhaseKind::CommWait);
-        if (idx == mpi::kUndefined) break;
-        const RecvSlot& slot = recv_slots[static_cast<std::size_t>(idx)];
-        const amr::NeighborExchange& ex = dp.neighbors[static_cast<std::size_t>(slot.neighbor_index)];
-        const mpi::RxView& view = views[static_cast<std::size_t>(idx)];
-        const std::int64_t t1 = now_ns();
-        for (int f = slot.chunk->first_face; f < slot.chunk->first_face + slot.chunk->face_count;
-             ++f) {
-            const amr::FaceTransfer& face = ex.recvs[static_cast<std::size_t>(f)];
-            auto section = view.payload.subspan(
-                static_cast<std::size_t>((face.value_offset - slot.chunk->value_offset) * gvars) *
-                    sizeof(double),
-                static_cast<std::size_t>(face.value_count * gvars) * sizeof(double));
-            mesh_.block(face.mine).unpack_face(face.geom, gb, ge, section);
-        }
-        trace(0, t1, now_ns(), PhaseKind::Unpack);
-    }
-
-    const std::int64_t t0 = now_ns();
-    hcomm_.wait_all(std::span<mpi::Request>(send_reqs));
-    trace(0, t0, now_ns(), PhaseKind::CommWait);
-}
-
-void MpiOnlyDriver::reflux_stage(int group) {
-    // Coarse-fine flux correction (DESIGN.md §18), same sequential
-    // per-direction shape as exchange_direction but over the flux plan:
-    // fine blocks ship restricted registers, coarse blocks reflux on
-    // receipt, and the physical-boundary tally closes each direction.
+void MpiOnlyDriver::communicate_stage(int group) {
     Stopwatch sw;
     sw.start();
     const int gb = group_begin(group), ge = group_end(group);
-    const int gvars = ge - gb;
+    // Directions are processed strictly one after another: they share the
+    // same communication buffers (Algorithm 2).
+    for (int dir = 0; dir < 3; ++dir) {
+        const amr::DirectionPlan& dp = plan_.direction(dir);
+        exchange(
+            dir, gb, ge, dp.neighbors, dp.copies, dp.boundary,
+            [&](int ni) { return buffers_->send_stream(dir, ni); },
+            [&](int ni) { return buffers_->recv_stream(dir, ni); },
+            [&](const amr::FaceTransfer& face, std::span<double> out) {
+                mesh_.block(face.mine).pack_face(face.geom, gb, ge, out);
+            },
+            [&](const amr::IntraCopy& copy) {
+                mesh_.block(copy.dst).copy_face_from(mesh_.block(copy.src), copy.geom, gb, ge);
+            },
+            [&](const amr::FaceTransfer& face, std::span<const double> in) {
+                mesh_.block(face.mine).unpack_face(face.geom, gb, ge, in);
+            });
+    }
+    sw.stop();
+    result_.times.comm += sw.elapsed_s();
+}
+
+void MpiOnlyDriver::reflux_stage(int group) {
+    // Coarse-fine flux correction (DESIGN.md §18) through the ghost-fill
+    // exchange, over the flux plan: fine blocks ship restricted registers,
+    // coarse blocks reflux on receipt, and the physical-boundary tally
+    // closes each direction.
+    Stopwatch sw;
+    sw.start();
+    const int gb = group_begin(group), ge = group_end(group);
     for (int dir = 0; dir < 3; ++dir) {
         const amr::FluxPlan::Direction& fd = flux_plan_.direction(dir);
         auto& send_bufs = flux_send_[static_cast<std::size_t>(dir)];
         auto& recv_bufs = flux_recv_[static_cast<std::size_t>(dir)];
-
-        // 1) Post receives for the restricted fine-flux streams.
-        struct RecvSlot {
-            int neighbor_index;
-            const amr::MessageChunk* chunk;
-        };
-        std::vector<mpi::Request> recv_reqs;
-        std::vector<RecvSlot> recv_slots;
-        for (std::size_t ni = 0; ni < fd.neighbors.size(); ++ni) {
-            const amr::NeighborExchange& ex = fd.neighbors[ni];
-            std::span<double> stream(recv_bufs[ni]);
-            for (const amr::MessageChunk& chunk : ex.recv_chunks) {
-                auto span = stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                           static_cast<std::size_t>(chunk.value_count * gvars));
-                recv_reqs.push_back(
-                    hcomm_.irecv(span.data(), span.size_bytes(), ex.peer, chunk.tag));
-                recv_slots.push_back(RecvSlot{static_cast<int>(ni), &chunk});
-            }
-        }
-
-        // 2) Restrict own fine registers into the send streams and send.
-        std::vector<mpi::Request> send_reqs;
-        for (std::size_t ni = 0; ni < fd.neighbors.size(); ++ni) {
-            const amr::NeighborExchange& ex = fd.neighbors[ni];
-            std::span<double> stream(send_bufs[ni]);
-            const std::int64_t t0 = now_ns();
-            for (const amr::FaceTransfer& face : ex.sends) {
-                auto section = stream.subspan(static_cast<std::size_t>(face.value_offset * gvars),
-                                              static_cast<std::size_t>(face.value_count * gvars));
-                DFAMR_CHECK_WRITE(section.data(), section.size_bytes());
-                flux_register(face.mine)
-                    .pack_restricted(face.geom.axis, face.geom.sense, gb, ge, section);
-            }
-            trace(0, t0, now_ns(), PhaseKind::Pack);
-            for (const amr::MessageChunk& chunk : ex.send_chunks) {
-                auto span = stream.subspan(static_cast<std::size_t>(chunk.value_offset * gvars),
-                                           static_cast<std::size_t>(chunk.value_count * gvars));
-                const std::int64_t t1 = now_ns();
-                send_reqs.push_back(
-                    hcomm_.isend(span.data(), span.size_bytes(), ex.peer, chunk.tag));
-                trace(0, t1, now_ns(), PhaseKind::Send);
-            }
-        }
-
-        // 3) Intra-rank refluxes while messages are in flight.
-        for (const amr::IntraCopy& copy : fd.copies) {
-            const std::int64_t t0 = now_ns();
-            apply_intra_flux(copy, gb, ge);
-            trace(0, t0, now_ns(), PhaseKind::IntraCopy);
-        }
-
-        // 4) Waitany/reflux loop over received streams.
-        while (true) {
-            const std::int64_t t0 = now_ns();
-            const int idx = hcomm_.wait_any(std::span<mpi::Request>(recv_reqs));
-            trace(0, t0, now_ns(), PhaseKind::CommWait);
-            if (idx == mpi::kUndefined) break;
-            const RecvSlot& slot = recv_slots[static_cast<std::size_t>(idx)];
-            const amr::NeighborExchange& ex =
-                fd.neighbors[static_cast<std::size_t>(slot.neighbor_index)];
-            std::span<const double> stream(recv_bufs[static_cast<std::size_t>(slot.neighbor_index)]);
-            const std::int64_t t1 = now_ns();
-            for (int f = slot.chunk->first_face;
-                 f < slot.chunk->first_face + slot.chunk->face_count; ++f) {
-                const amr::FaceTransfer& face = ex.recvs[static_cast<std::size_t>(f)];
-                auto section = stream.subspan(static_cast<std::size_t>(face.value_offset * gvars),
-                                              static_cast<std::size_t>(face.value_count * gvars));
-                DFAMR_CHECK_READ(section.data(), section.size_bytes());
-                apply_flux_correction(face, gb, ge, section);
-            }
-            trace(0, t1, now_ns(), PhaseKind::Unpack);
-        }
-
-        // 5) Wait for sends before the streams can be reused.
-        const std::int64_t t0 = now_ns();
-        hcomm_.wait_all(std::span<mpi::Request>(send_reqs));
-        trace(0, t0, now_ns(), PhaseKind::CommWait);
-
-        // 6) Close the direction's mass budget at the physical boundary —
+        exchange(
+            dir, gb, ge, fd.neighbors, fd.copies, {},
+            [&](int ni) { return std::span<double>(send_bufs[static_cast<std::size_t>(ni)]); },
+            [&](int ni) { return std::span<double>(recv_bufs[static_cast<std::size_t>(ni)]); },
+            [&](const amr::FaceTransfer& face, std::span<double> out) {
+                flux_register(face.mine).pack_restricted(face.geom.axis, face.geom.sense, gb, ge,
+                                                         out);
+            },
+            [&](const amr::IntraCopy& copy) { apply_intra_flux(copy, gb, ge); },
+            [&](const amr::FaceTransfer& face, std::span<const double> in) {
+                apply_flux_correction(face, gb, ge, in);
+            });
+        // Close the direction's mass budget at the physical boundary —
         // sequential, fixed order, identical across variants.
         accumulate_boundary_outflux(dir, gb, ge);
     }

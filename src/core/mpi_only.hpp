@@ -20,11 +20,18 @@ protected:
                              const std::vector<BlockMove>& recvs) override;
 
 private:
-    void exchange_direction(int dir, int gb, int ge);
-    /// --zero_copy fast path: packs each chunk straight into a transport
-    /// frame (TxBuffer) and unpacks straight out of the received frame
-    /// (RxView), skipping both staging buffers.
-    void exchange_direction_zero_copy(int dir, int gb, int ge);
+    /// One direction of Algorithm 2 over `neighbors`/`copies`: posts every
+    /// receive, packs and sends chunk by chunk, runs the intra-rank copies
+    /// and reflects `boundary` while messages are in flight, unpacks in
+    /// completion order, then waits on the sends. The ghost fill and the
+    /// reflux pass differ only in their streams (per neighbour index) and
+    /// in the face operations: pack(face, out), copy(intra_copy),
+    /// unpack(face, in).
+    template <class SendStream, class RecvStream, class Pack, class Copy, class Unpack>
+    void exchange(int dir, int gb, int ge, const std::vector<amr::NeighborExchange>& neighbors,
+                  const std::vector<amr::IntraCopy>& copies,
+                  std::span<const std::pair<BlockKey, int>> boundary, SendStream send_stream,
+                  RecvStream recv_stream, Pack pack, Copy copy, Unpack unpack);
 };
 
 }  // namespace dfamr::core

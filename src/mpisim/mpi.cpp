@@ -73,9 +73,6 @@ struct PostedRecv {
     void* buf = nullptr;
     std::size_t capacity = 0;
     std::shared_ptr<RequestState> req;
-    /// Zero-copy receive (irecv_view): delivery moves the message's storage
-    /// here instead of memcpying into `buf` (which is null then).
-    RxView* view = nullptr;
 };
 
 struct Mailbox {
@@ -132,9 +129,6 @@ struct WorldState {
     std::atomic<bool> aborted{false};
     std::atomic<std::uint64_t> messages_delivered{0};
     std::atomic<std::uint64_t> bytes_delivered{0};
-    /// Staging copies skipped by the zero-copy pack/unpack paths (isend_tx
-    /// skipping the frame copy, view receives skipping the delivery memcpy).
-    std::atomic<std::uint64_t> copies_elided{0};
 
     // Fault injection (null = fault-free fast path, identical to before).
     FaultInjector* faults = nullptr;
@@ -223,24 +217,16 @@ void deliver_msg(WorldState* world, int dest, PendingMsg&& msg) {
         if (it != mbox.posted.end()) {
             DFAMR_REQUIRE(msg.payload.size() <= it->capacity,
                           "message truncation: recv buffer too small");
-            if (it->view != nullptr) {
-                // Zero-copy receive: hand over the message's own storage —
-                // no landing-zone write at all, so no wire-region check.
-                it->view->storage = std::move(msg.storage);
-                it->view->payload = msg.payload;
-                world->copies_elided.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                if (!msg.payload.empty()) {
-                    // Wire-path write into a posted buffer: validate against
-                    // the in-flight region registry before touching the
-                    // bytes. This runs on a transport progress thread or the
-                    // delivery scheduler — outside any task body, invisible
-                    // to the per-thread declared-region table.
-                    DFAMR_CHECK_WIRE_WRITE(it->buf, msg.payload.size());
-                    std::memcpy(it->buf, msg.payload.data(), msg.payload.size());
-                }
-                if (it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
+            if (!msg.payload.empty()) {
+                // Wire-path write into a posted buffer: validate against the
+                // in-flight region registry before touching the bytes. This
+                // runs on a transport progress thread or the delivery
+                // scheduler — outside any task body, invisible to the
+                // per-thread declared-region table.
+                DFAMR_CHECK_WIRE_WRITE(it->buf, msg.payload.size());
+                std::memcpy(it->buf, msg.payload.data(), msg.payload.size());
             }
+            if (it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
             matched_recv = it->req;
             matched_status = Status{msg.source, msg.tag, msg.payload.size()};
             mbox.posted.erase(it);
@@ -387,7 +373,7 @@ bool Request::cancel() const {
             if (it->req == state_) break;
         }
         if (it == mbox->posted.end()) return false;  // already matched/completed
-        if (it->view == nullptr && it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
+        if (it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
         mbox->posted.erase(it);
     }
     detail::complete_request(state_, Status{kUndefined, kUndefined, 0, /*ok=*/false});
@@ -477,15 +463,6 @@ int wait_any(std::span<Request> reqs, Status* status) {
         lock.unlock();
         world->check_aborted();
     }
-}
-
-// ---- Zero-copy buffers -----------------------------------------------------
-
-TxBuffer make_tx_buffer(std::size_t bytes) {
-    TxBuffer tx;
-    tx.storage = net::make_empty_frame(bytes);
-    tx.payload = {tx.storage->data() + net::kHeaderBytes, bytes};
-    return tx;
 }
 
 // ---- Communicator: point-to-point -----------------------------------------
@@ -588,19 +565,11 @@ Request Communicator::isend_impl(const void* buf, std::size_t bytes, int dest, i
         }
         if (it != mbox.posted.end()) {
             DFAMR_REQUIRE(bytes <= it->capacity, "message truncation: recv buffer too small");
-            if (it->view != nullptr) {
-                // A view receive needs owned storage; buffer once and hand
-                // the buffer over (same copy count as the memcpy path).
-                detail::PendingMsg m = detail::make_buffered(rank_, tag, buf, bytes);
-                it->view->storage = std::move(m.storage);
-                it->view->payload = m.payload;
-            } else {
-                if (bytes > 0) {
-                    DFAMR_CHECK_WIRE_WRITE(it->buf, bytes);
-                    std::memcpy(it->buf, buf, bytes);
-                }
-                if (it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
+            if (bytes > 0) {
+                DFAMR_CHECK_WIRE_WRITE(it->buf, bytes);
+                std::memcpy(it->buf, buf, bytes);
             }
+            if (it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
             matched_recv = it->req;
             matched_status = Status{rank_, tag, bytes};
             mbox.posted.erase(it);
@@ -618,176 +587,10 @@ Request Communicator::isend_impl(const void* buf, std::size_t bytes, int dest, i
     return Request(std::move(req));
 }
 
-Request Communicator::isend_tx(const TxBuffer& tx, int dest, int tag) {
-    DFAMR_REQUIRE(tag >= 0 && tag < kReservedTagBase,
-                  "isend_tx: tag must be in [0, kReservedTagBase)");
-    DFAMR_REQUIRE(0 <= dest && dest < size_, "isend_tx: destination rank out of range");
-    DFAMR_REQUIRE(tx.storage != nullptr && tx.storage->size() >= net::kHeaderBytes &&
-                      tx.payload.data() == tx.storage->data() + net::kHeaderBytes &&
-                      tx.payload.size() == tx.storage->size() - net::kHeaderBytes,
-                  "isend_tx: buffer not from make_tx_buffer");
-    auto req = std::make_shared<detail::RequestState>();
-    req->world = world_;
-    const std::size_t bytes = tx.payload.size();
-    const bool wire_dest = world_->wire() && dest != rank_;
-
-    // The message as a PendingMsg sharing the TxBuffer's storage: parking it
-    // costs a shared_ptr copy where the plain isend path pays make_buffered.
-    const auto as_pending = [&] {
-        detail::PendingMsg msg;
-        msg.source = rank_;
-        msg.tag = tag;
-        msg.storage = tx.storage;
-        msg.payload = {tx.payload.data(), tx.payload.size()};
-        return msg;
-    };
-
-    if (world_->faults != nullptr) {
-        const FaultAction act = world_->faults->on_send(rank_, dest, tag);
-        if (act.stall_ns > 0) {
-            std::this_thread::sleep_for(std::chrono::nanoseconds(act.stall_ns));
-        }
-        if (act.crash) {
-            throw Error("mpisim: injected crash at rank " + std::to_string(rank_));
-        }
-        if (act.drop) {
-            // The storage is untouched (header not yet encoded), so the
-            // hardened layer can re-post the same TxBuffer.
-            detail::complete_request(req, Status{rank_, tag, bytes, /*ok=*/false});
-            return Request(std::move(req));
-        }
-        bool scheduled = false;
-        {
-            std::lock_guard slock(world_->sched_m);
-            const auto key = std::make_tuple(rank_, dest, tag);
-            auto it = world_->streams.find(key);
-            if (act.delay_ns > 0 || it != world_->streams.end()) {
-                const std::int64_t now = detail::steady_now_ns();
-                detail::StreamState& stream = world_->streams[key];
-                const std::int64_t release =
-                    std::max(now + act.delay_ns, stream.last_release_ns);
-                stream.last_release_ns = release;
-                ++stream.inflight;
-                world_->sched_heap.push_back(
-                    detail::DelayedMsg{release, world_->sched_seq++, dest, as_pending()});
-                std::push_heap(world_->sched_heap.begin(), world_->sched_heap.end(),
-                               [](const detail::DelayedMsg& a, const detail::DelayedMsg& b) {
-                                   return std::tie(a.release_ns, a.seq) >
-                                          std::tie(b.release_ns, b.seq);
-                               });
-                scheduled = true;
-            }
-        }
-        if (scheduled) {
-            world_->copies_elided.fetch_add(1, std::memory_order_relaxed);
-            world_->sched_cv.notify_one();
-            detail::complete_request(req, Status{rank_, tag, bytes});
-            return Request(std::move(req));
-        }
-    }
-
-    if (wire_dest) {
-        net::Transport* ep = world_->endpoints[static_cast<std::size_t>(rank_)].get();
-        world_->copies_elided.fetch_add(1, std::memory_order_relaxed);
-        if (bytes >= ep->rendezvous_threshold()) {
-            const int src = rank_;
-            ep->send_rendezvous(dest, tag, tx.storage, [req, src, tag, bytes] {
-                detail::complete_request(req, Status{src, tag, bytes});
-            });
-            return Request(std::move(req));
-        }
-        ep->send_eager(dest, tag, tx.storage);
-        detail::complete_request(req, Status{rank_, tag, bytes});
-        return Request(std::move(req));
-    }
-
-    detail::Mailbox& mbox = *world_->mailboxes[static_cast<std::size_t>(dest)];
-    std::shared_ptr<detail::RequestState> matched_recv;
-    Status matched_status;
-    {
-        std::lock_guard lock(mbox.m);
-        auto it = mbox.posted.begin();
-        for (; it != mbox.posted.end(); ++it) {
-            if (detail::matches(it->source, it->tag, rank_, tag)) break;
-        }
-        if (it != mbox.posted.end()) {
-            DFAMR_REQUIRE(bytes <= it->capacity, "message truncation: recv buffer too small");
-            if (it->view != nullptr) {
-                // Fully zero-copy rendezvous of the two fast paths: the
-                // packed frame becomes the receiver's view directly.
-                it->view->storage = tx.storage;
-                it->view->payload = {tx.payload.data(), tx.payload.size()};
-                world_->copies_elided.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                if (bytes > 0) {
-                    DFAMR_CHECK_WIRE_WRITE(it->buf, bytes);
-                    std::memcpy(it->buf, tx.payload.data(), bytes);
-                }
-                if (it->capacity > 0) DFAMR_WIRE_UNREGISTER(it->buf);
-            }
-            matched_recv = it->req;
-            matched_status = Status{rank_, tag, bytes};
-            mbox.posted.erase(it);
-        } else {
-            mbox.unexpected.push_back(as_pending());
-            world_->copies_elided.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    if (matched_recv) {
-        world_->messages_delivered.fetch_add(1, std::memory_order_relaxed);
-        world_->bytes_delivered.fetch_add(bytes, std::memory_order_relaxed);
-        detail::complete_request(matched_recv, matched_status);
-    }
-    detail::complete_request(req, Status{rank_, tag, bytes});
-    return Request(std::move(req));
-}
-
 Request Communicator::irecv(void* buf, std::size_t bytes, int source, int tag) {
     DFAMR_REQUIRE(tag == kAnyTag || (tag >= 0 && tag < kReservedTagBase),
                   "irecv: tag must be kAnyTag or in [0, kReservedTagBase)");
     return irecv_impl(buf, bytes, source, tag);
-}
-
-Request Communicator::irecv_view(RxView* view, std::size_t capacity, int source, int tag) {
-    DFAMR_REQUIRE(view != nullptr, "irecv_view: null view");
-    DFAMR_REQUIRE(tag == kAnyTag || (tag >= 0 && tag < kReservedTagBase),
-                  "irecv_view: tag must be kAnyTag or in [0, kReservedTagBase)");
-    DFAMR_REQUIRE(source == kAnySource || (0 <= source && source < size_),
-                  "irecv_view: source rank out of range");
-    auto req = std::make_shared<detail::RequestState>();
-    req->world = world_;
-
-    detail::Mailbox& mbox = *world_->mailboxes[static_cast<std::size_t>(rank_)];
-    req->mbox = &mbox;
-    bool delivered = false;
-    Status st;
-    {
-        std::lock_guard lock(mbox.m);
-        auto it = mbox.unexpected.begin();
-        for (; it != mbox.unexpected.end(); ++it) {
-            if (detail::matches(source, tag, it->source, it->tag)) break;
-        }
-        if (it != mbox.unexpected.end()) {
-            DFAMR_REQUIRE(it->payload.size() <= capacity,
-                          "message truncation: recv buffer too small");
-            view->storage = std::move(it->storage);
-            view->payload = it->payload;
-            world_->copies_elided.fetch_add(1, std::memory_order_relaxed);
-            st = Status{it->source, it->tag, it->payload.size()};
-            mbox.unexpected.erase(it);
-            delivered = true;
-        } else {
-            // No landing zone to register: delivery hands over the frame.
-            mbox.posted.push_back(
-                detail::PostedRecv{source, tag, nullptr, capacity, req, view});
-        }
-    }
-    if (delivered) {
-        world_->messages_delivered.fetch_add(1, std::memory_order_relaxed);
-        world_->bytes_delivered.fetch_add(st.bytes, std::memory_order_relaxed);
-        detail::complete_request(req, st);
-    }
-    return Request(std::move(req));
 }
 
 Request Communicator::irecv_impl(void* buf, std::size_t bytes, int source, int tag) {
@@ -856,7 +659,7 @@ void Communicator::abandon_posted_recvs() {
         std::lock_guard lock(mbox.m);
         orphans.swap(mbox.posted);
         for (const detail::PostedRecv& p : orphans) {
-            if (p.view == nullptr && p.capacity > 0) DFAMR_WIRE_UNREGISTER(p.buf);
+            if (p.capacity > 0) DFAMR_WIRE_UNREGISTER(p.buf);
         }
     }
     // Complete outside the mailbox lock (waiters take the request lock).
@@ -1202,9 +1005,6 @@ net::NetCounters World::net_counters() const {
     for (const auto& ep : state_->endpoints) {
         if (ep) total += ep->counters();
     }
-    // Elisions happen in mpisim's matching layer (and on in-process fast
-    // paths), not inside any one transport.
-    total.copies_elided += state_->copies_elided.load(std::memory_order_relaxed);
     return total;
 }
 

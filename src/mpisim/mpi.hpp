@@ -164,28 +164,6 @@ private:
     std::shared_ptr<detail::RequestState> state_;
 };
 
-/// A send buffer pre-allocated inside a wire frame: pack tasks serialize
-/// directly into `payload`, and isend_tx puts that same storage on the wire
-/// — no staging copy. `storage` is shared, so retrying an isend_tx (the
-/// HardenedComm path) re-uses the same bytes safely. Works on every
-/// transport: in-process, the frame simply becomes the parked message.
-struct TxBuffer {
-    net::FrameBuf storage;
-    std::span<std::byte> payload;
-};
-
-/// Allocates a TxBuffer whose payload holds `bytes`. The payload is 8-byte
-/// aligned (wire headers are 40 bytes), so views of doubles are safe.
-TxBuffer make_tx_buffer(std::size_t bytes);
-
-/// A received message viewed in place: `payload` aliases the transport's
-/// frame (or the sender's parked buffer in-process); `storage` keeps it
-/// alive. Valid until the RxView is destroyed or reassigned.
-struct RxView {
-    net::FrameBuf storage;
-    std::span<const std::byte> payload;
-};
-
 /// Waits for all requests (MPI_Waitall). Invalid requests are ignored.
 void wait_all(std::span<Request> reqs);
 /// Waits until one request completes and returns its index (MPI_Waitany);
@@ -210,15 +188,6 @@ public:
     /// `tag` must be in [0, kReservedTagBase).
     Request isend(const void* buf, std::size_t bytes, int dest, int tag);
     Request irecv(void* buf, std::size_t bytes, int source, int tag);
-    /// Zero-copy send: `tx.storage` goes on the wire as-is (the payload was
-    /// packed in place — see make_tx_buffer). Takes tx by const reference so
-    /// a retry wrapper can re-post the same buffer.
-    Request isend_tx(const TxBuffer& tx, int dest, int tag);
-    /// Zero-copy receive: on completion `*view` holds the message payload
-    /// in place (no copy into a user buffer; counted as copies_elided when
-    /// the match avoided a memcpy). `capacity` bounds the accepted message
-    /// size like irecv's `bytes`. `view` must stay valid until completion.
-    Request irecv_view(RxView* view, std::size_t capacity, int source, int tag);
     void send(const void* buf, std::size_t bytes, int dest, int tag);
     void recv(void* buf, std::size_t bytes, int source, int tag, Status* status = nullptr);
     /// Non-blocking probe for a matching incoming message (MPI_Iprobe).
@@ -308,7 +277,7 @@ public:
     /// The rank hosted by this process (0 when not distributed).
     int local_rank() const;
     /// Aggregated wire counters of this process's endpoints (all zero for
-    /// the in-process transport), plus the world's copies_elided count.
+    /// the in-process transport).
     net::NetCounters net_counters() const;
     /// Per-peer wire traffic of this process's endpoints, indexed by peer
     /// rank (empty for the in-process transport).

@@ -92,10 +92,6 @@ FrameBuf make_frame(const void* payload, std::size_t payload_bytes) {
     return buf;
 }
 
-FrameBuf make_empty_frame(std::size_t payload_bytes) {
-    return std::make_shared<std::vector<std::byte>>(kHeaderBytes + payload_bytes);
-}
-
 Endpoint::Endpoint(int rank, int nranks, std::size_t rendezvous_threshold, Sink* sink,
                    ProgressTrace trace, bool coalesce)
     : rank_(rank),
@@ -540,19 +536,11 @@ void Endpoint::handle_frame(Connection& conn, FrameHeader h, FrameBuf payload) {
         case FrameKind::Coalesced: {
             // Unbatch: deliver each sub-message as its own eager message; all
             // views alias the one frame buffer (shared storage, no copies).
-            const auto count = static_cast<std::size_t>(h.aux);
-            DFAMR_REQUIRE(payload && payload->size() >= count * kSubMsgEntryBytes,
-                          "net: coalesced frame shorter than its table");
-            const std::span<const std::byte> all(*payload);
-            std::size_t off = count * kSubMsgEntryBytes;
-            for (std::size_t i = 0; i < count; ++i) {
-                const SubMsgEntry e = decode_sub_entry(all.subspan(i * kSubMsgEntryBytes));
-                const auto bytes = static_cast<std::size_t>(e.bytes);
-                DFAMR_REQUIRE(off + bytes <= all.size(),
-                              "net: coalesced sub-payload out of range");
-                deliver_or_hold(conn, e.tag, FrameBuf(payload), all.subspan(off, bytes));
-                off += padded_sub_bytes(bytes);
-            }
+            const std::span<const std::byte> all =
+                payload ? std::span<const std::byte>(*payload) : std::span<const std::byte>{};
+            for_each_sub_message(all, h.aux, [&](int tag, std::span<const std::byte> sub) {
+                deliver_or_hold(conn, tag, FrameBuf(payload), sub);
+            });
             return;
         }
         case FrameKind::Rts: {

@@ -560,19 +560,11 @@ void ShmTransport::handle_frame(Peer& p, FrameHeader h, FrameBuf payload) {
             return;
         }
         case FrameKind::Coalesced: {
-            const auto count = static_cast<std::size_t>(h.aux);
-            DFAMR_REQUIRE(payload && payload->size() >= count * kSubMsgEntryBytes,
-                          "shm: coalesced frame shorter than its table");
-            const std::span<const std::byte> all(*payload);
-            std::size_t off = count * kSubMsgEntryBytes;
-            for (std::size_t i = 0; i < count; ++i) {
-                const SubMsgEntry e = decode_sub_entry(all.subspan(i * kSubMsgEntryBytes));
-                const auto bytes = static_cast<std::size_t>(e.bytes);
-                DFAMR_REQUIRE(off + bytes <= all.size(),
-                              "shm: coalesced sub-payload out of range");
-                deliver_or_hold(p, e.tag, FrameBuf(payload), all.subspan(off, bytes));
-                off += padded_sub_bytes(bytes);
-            }
+            const std::span<const std::byte> all =
+                payload ? std::span<const std::byte>(*payload) : std::span<const std::byte>{};
+            for_each_sub_message(all, h.aux, [&](int tag, std::span<const std::byte> sub) {
+                deliver_or_hold(p, tag, FrameBuf(payload), sub);
+            });
             return;
         }
         case FrameKind::Rts: {

@@ -25,11 +25,6 @@ using FrameBuf = std::shared_ptr<std::vector<std::byte>>;
 /// of the eager send path.
 FrameBuf make_frame(const void* payload, std::size_t payload_bytes);
 
-/// Allocates an empty frame with room for `payload_bytes` after the header,
-/// without copying anything in — the zero-copy pack path writes the payload
-/// directly into the returned buffer.
-FrameBuf make_empty_frame(std::size_t payload_bytes);
-
 /// Where received messages go. Implemented by mpisim (delivery into the
 /// destination mailbox) and by tests (capture).
 class Sink {

@@ -15,6 +15,8 @@
 #include <cstring>
 #include <span>
 
+#include "common/error.hpp"
+
 namespace dfamr::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x4446'4E31;  // "DFN1"
@@ -61,6 +63,27 @@ inline SubMsgEntry decode_sub_entry(std::span<const std::byte> in) {
     return e;
 }
 
+/// Unbatches a Coalesced frame's payload: calls fn(tag, sub_payload) for each
+/// of its `count` (header aux) sub-messages in table order, with views
+/// aliasing `frame`. `count` and every entry's size come off the wire, so
+/// each bound is checked in division/subtraction form — a product or sum of
+/// untrusted 64-bit values could wrap past the check. A table or
+/// sub-payload that does not fit in `frame` throws dfamr::Error.
+template <class Fn>
+void for_each_sub_message(std::span<const std::byte> frame, std::uint64_t count, Fn&& fn) {
+    DFAMR_REQUIRE(count <= frame.size() / kSubMsgEntryBytes,
+                  "net: coalesced frame shorter than its table");
+    std::size_t off = static_cast<std::size_t>(count) * kSubMsgEntryBytes;
+    for (std::size_t i = 0; i < count; ++i) {
+        const SubMsgEntry e = decode_sub_entry(frame.subspan(i * kSubMsgEntryBytes));
+        DFAMR_REQUIRE(off <= frame.size() && e.bytes <= frame.size() - off,
+                      "net: coalesced sub-payload out of range");
+        const auto bytes = static_cast<std::size_t>(e.bytes);
+        fn(e.tag, frame.subspan(off, bytes));
+        off += padded_sub_bytes(bytes);
+    }
+}
+
 struct FrameHeader {
     std::uint32_t magic = kWireMagic;
     FrameKind kind = FrameKind::Eager;
@@ -97,7 +120,6 @@ struct NetCounters {
     std::uint64_t reconnects = 0;  // extra dial attempts during mesh setup
     std::uint64_t coalesced_frames_sent = 0;  // Coalesced frames on the wire
     std::uint64_t coalesced_messages = 0;     // eager messages batched into them
-    std::uint64_t copies_elided = 0;  // staging copies removed by zero-copy pack
 
     NetCounters& operator+=(const NetCounters& o) {
         bytes_sent += o.bytes_sent;
@@ -108,7 +130,6 @@ struct NetCounters {
         reconnects += o.reconnects;
         coalesced_frames_sent += o.coalesced_frames_sent;
         coalesced_messages += o.coalesced_messages;
-        copies_elided += o.copies_elided;
         return *this;
     }
 };

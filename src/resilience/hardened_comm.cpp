@@ -41,31 +41,6 @@ mpi::Request HardenedComm::irecv(void* buf, std::size_t bytes, int source, int t
     return comm_.irecv(buf, bytes, source, tag);
 }
 
-mpi::Request HardenedComm::isend_tx(const mpi::TxBuffer& tx, int dest, int tag) {
-    std::int64_t backoff = policy_.backoff_ns;
-    for (int attempt = 1;; ++attempt) {
-        mpi::Request req = comm_.isend_tx(tx, dest, tag);
-        mpi::Status st;
-        if (!req.test(&st) || st.ok) return req;
-        if (attempt >= policy_.max_attempts) {
-            throw CommTimeout("isend_tx", comm_.rank(), dest, tag);
-        }
-        const std::int64_t t0 = now_ns();
-        std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
-        backoff = std::min(static_cast<std::int64_t>(static_cast<double>(backoff) *
-                                                     policy_.backoff_factor),
-                           policy_.max_backoff_ns);
-        if (tracer_ != nullptr) {
-            tracer_->record(comm_.rank(), 0, t0, now_ns(), amr::PhaseKind::Retry);
-        }
-    }
-}
-
-mpi::Request HardenedComm::irecv_view(mpi::RxView* view, std::size_t capacity, int source,
-                                      int tag) {
-    return comm_.irecv_view(view, capacity, source, tag);
-}
-
 void HardenedComm::send(const void* buf, std::size_t bytes, int dest, int tag) {
     isend(buf, bytes, dest, tag).wait();
 }

@@ -71,14 +71,6 @@ public:
     /// Plain irecv: the deadline applies at the wait, not at the post.
     mpi::Request irecv(void* buf, std::size_t bytes, int source, int tag);
 
-    /// Zero-copy isend with the same retry semantics: a dropped attempt
-    /// never reaches the wire and leaves the TxBuffer untouched, so
-    /// re-posting the same buffer is safe.
-    mpi::Request isend_tx(const mpi::TxBuffer& tx, int dest, int tag);
-    /// Zero-copy irecv: delivery hands the frame to `view` instead of
-    /// copying into a landing zone.
-    mpi::Request irecv_view(mpi::RxView* view, std::size_t capacity, int source, int tag);
-
     void send(const void* buf, std::size_t bytes, int dest, int tag);
     /// Blocking receive with deadline; a timed-out receive is canceled (its
     /// buffer released from the mailbox) before CommTimeout is thrown.

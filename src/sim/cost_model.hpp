@@ -31,11 +31,11 @@ struct CostModel {
     // global-mutex runtime serialized every submit/dispatch/completion on
     // one lock — its 400 ns above is the mutex-bound per-task cost at the
     // paper's 12 workers per rank. The work-stealing runtime has no global
-    // serial section: bench/sched_micro measures ~380-590 ns total per task
+    // serial section: bench/sched_bench.hpp measured ~380-590 ns per task
     // on a 2-core host, but only the completion+dispatch slice rides each
     // worker's critical path (submission overlaps execution, and the
-    // immediate-successor path — ~98% of stencil-chain handoffs in
-    // sched_micro — hands tasks over without touching any queue). That
+    // immediate-successor path — ~98% of stencil-chain handoffs in the
+    // chain workload — hands tasks over without touching any queue). That
     // slice is what this constant models.
     double tasking_overhead_ns = 150;
     double mpi_call_ns = 300;        // posting an Isend/Irecv

@@ -391,29 +391,42 @@ TEST(Conservation, SlottedCylinderFullTurnL1Regression) {
 class ScenarioVariants : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ScenarioVariants, AllVariantsBitIdentical) {
-    for (const char* estimator : {"gradient", "curvature"}) {
-        const Config cfg = scenario_config(GetParam(), estimator);
-        const RunResult mpi = run_variant(cfg, Variant::MpiOnly);
-        const RunResult fj = run_variant(cfg, Variant::ForkJoin);
-        const RunResult tampi = run_variant(cfg, Variant::TampiOss);
-        EXPECT_TRUE(mpi.validation_ok) << estimator;
-        expect_checksums_identical(mpi, fj);
-        expect_checksums_identical(mpi, tampi);
-        EXPECT_EQ(mpi.final_blocks, fj.final_blocks) << estimator;
-        EXPECT_EQ(mpi.final_blocks, tampi.final_blocks) << estimator;
-        EXPECT_EQ(mpi.error_norm, fj.error_norm) << estimator;
-        EXPECT_EQ(mpi.error_norm, tampi.error_norm) << estimator;
-        // The conservation ledger is part of the bit-identity contract: the
-        // outflux tally is accumulated in one deterministic order in every
-        // variant, and the reflux residual is zero everywhere.
-        EXPECT_EQ(mpi.mass_drift, 0.0) << estimator;
-        EXPECT_EQ(fj.mass_drift, 0.0) << estimator;
-        EXPECT_EQ(tampi.mass_drift, 0.0) << estimator;
-        EXPECT_EQ(mpi.boundary_outflux, fj.boundary_outflux) << estimator;
-        EXPECT_EQ(mpi.boundary_outflux, tampi.boundary_outflux) << estimator;
-        EXPECT_EQ(mpi.counters.reflux_corrections, fj.counters.reflux_corrections) << estimator;
-        EXPECT_EQ(mpi.counters.reflux_corrections, tampi.counters.reflux_corrections)
-            << estimator;
+    // Two comm layouts: everything in one group and one message per
+    // neighbour, then two variable groups with up to two messages per
+    // neighbour — reflux then runs at a non-zero group offset next to
+    // multi-chunk ghost traffic.
+    for (const bool grouped : {false, true}) {
+        for (const char* estimator : {"gradient", "curvature"}) {
+            Config cfg = scenario_config(GetParam(), estimator);
+            if (grouped) {
+                cfg.comm_vars = 2;
+                cfg.send_faces = true;
+                cfg.max_comm_tasks = 2;
+            }
+            const std::string what = std::string(estimator) + (grouped ? ", grouped" : "");
+            const RunResult mpi = run_variant(cfg, Variant::MpiOnly);
+            const RunResult fj = run_variant(cfg, Variant::ForkJoin);
+            const RunResult tampi = run_variant(cfg, Variant::TampiOss);
+            EXPECT_TRUE(mpi.validation_ok) << what;
+            expect_checksums_identical(mpi, fj);
+            expect_checksums_identical(mpi, tampi);
+            EXPECT_EQ(mpi.final_blocks, fj.final_blocks) << what;
+            EXPECT_EQ(mpi.final_blocks, tampi.final_blocks) << what;
+            EXPECT_EQ(mpi.error_norm, fj.error_norm) << what;
+            EXPECT_EQ(mpi.error_norm, tampi.error_norm) << what;
+            // The conservation ledger is part of the bit-identity contract:
+            // the outflux tally is accumulated in one deterministic order in
+            // every variant, and the reflux residual is zero everywhere.
+            EXPECT_EQ(mpi.mass_drift, 0.0) << what;
+            EXPECT_EQ(fj.mass_drift, 0.0) << what;
+            EXPECT_EQ(tampi.mass_drift, 0.0) << what;
+            EXPECT_EQ(mpi.boundary_outflux, fj.boundary_outflux) << what;
+            EXPECT_EQ(mpi.boundary_outflux, tampi.boundary_outflux) << what;
+            EXPECT_GT(mpi.counters.reflux_corrections, 0) << what;
+            EXPECT_EQ(mpi.counters.reflux_corrections, fj.counters.reflux_corrections) << what;
+            EXPECT_EQ(mpi.counters.reflux_corrections, tampi.counters.reflux_corrections)
+                << what;
+        }
     }
 }
 
