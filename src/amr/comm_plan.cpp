@@ -66,22 +66,44 @@ CommPlan::CommPlan(const GlobalStructure& structure, const BlockShape& shape, in
 CommPlan::CommPlan(const GlobalStructure& structure, const BlockShape& shape, int rank,
                    const CommPlanOptions& options, std::span<const BlockKey> mine)
     : rank_(rank) {
-    for (int axis = 0; axis < 3; ++axis) {
-        DirectionPlan& plan = directions_[static_cast<std::size_t>(axis)];
-        std::map<int, NeighborExchange> by_peer;
-        for (const BlockKey& key : mine) {
+    // Block by block, so each block's ghost-fill writes land contiguously in
+    // the flat fill arrays; per direction, blocks are still visited in order.
+    std::array<std::map<int, NeighborExchange>, 3> by_peer;
+    struct FillEnd {
+        BlockKey dst;
+        std::size_t sources, copies, boundary;  // ends in the flat arrays
+    };
+    std::vector<FillEnd> fill_ends;
+    // Index of `src` among the current block's sources (from `first` on),
+    // appended if new.
+    const auto source_index = [this](std::size_t first, const BlockKey& src) {
+        const auto begin = fill_sources_.begin() + static_cast<std::ptrdiff_t>(first);
+        const auto it = std::find(begin, fill_sources_.end(), src);
+        const int index = static_cast<int>(it - begin);
+        if (it == fill_sources_.end()) fill_sources_.push_back(src);
+        return index;
+    };
+    for (const BlockKey& key : mine) {
+        const std::size_t first_source = fill_sources_.size();
+        const std::size_t first_copy = fill_copies_.size();
+        const std::size_t first_face = fill_boundary_.size();
+        for (int axis = 0; axis < 3; ++axis) {
+            DirectionPlan& plan = directions_[static_cast<std::size_t>(axis)];
             for (int sense : {+1, -1}) {
                 if (structure.at_domain_boundary(key, axis, sense)) {
                     plan.boundary.emplace_back(key, sense);
+                    fill_boundary_.emplace_back(axis, sense);
                     continue;
                 }
                 for (const FaceNeighbor& nb : structure.face_neighbors(key, axis, sense)) {
                     FaceGeom geom{axis, sense, nb.rel, nb.quad};
                     if (nb.owner == rank) {
                         plan.copies.push_back(IntraCopy{key, nb.key, geom});
+                        fill_copies_.push_back(
+                            GhostFill::Copy{source_index(first_source, nb.key), geom});
                         continue;
                     }
-                    NeighborExchange& ex = by_peer[nb.owner];
+                    NeighborExchange& ex = by_peer[static_cast<std::size_t>(axis)][nb.owner];
                     ex.peer = nb.owner;
                     const std::int64_t values = nb.rel == FaceRel::Same
                                                     ? shape.face_values_same(axis, 1)
@@ -95,15 +117,35 @@ CommPlan::CommPlan(const GlobalStructure& structure, const BlockShape& shape, in
                 }
             }
         }
-        // Deterministic intra-copy order (map iteration gave deterministic
-        // block order already, keep as-is) and canonical per-peer streams.
-        for (auto& [peer, ex] : by_peer) {
+        if (fill_copies_.size() > first_copy || fill_boundary_.size() > first_face) {
+            fill_ends.push_back(
+                FillEnd{key, fill_sources_.size(), fill_copies_.size(), fill_boundary_.size()});
+        }
+    }
+    // Canonical per-peer streams (copies and boundary faces are already in
+    // deterministic block order).
+    for (int axis = 0; axis < 3; ++axis) {
+        DirectionPlan& plan = directions_[static_cast<std::size_t>(axis)];
+        for (auto& [peer, ex] : by_peer[static_cast<std::size_t>(axis)]) {
             std::sort(ex.sends.begin(), ex.sends.end(), TransferOrder{true});
             std::sort(ex.recvs.begin(), ex.recvs.end(), TransferOrder{false});
             layout_stream(ex.sends, ex.send_chunks, ex.send_values, axis, options);
             layout_stream(ex.recvs, ex.recv_chunks, ex.recv_values, axis, options);
             plan.neighbors.push_back(std::move(ex));
         }
+    }
+    // The flat arrays are complete: cut them into per-block views.
+    const std::span<const BlockKey> sources(fill_sources_);
+    const std::span<const GhostFill::Copy> copies(fill_copies_);
+    const std::span<const std::pair<int, int>> boundary(fill_boundary_);
+    ghost_fills_.reserve(fill_ends.size());
+    FillEnd begin{};
+    for (const FillEnd& end : fill_ends) {
+        ghost_fills_.push_back(
+            GhostFill{end.dst, sources.subspan(begin.sources, end.sources - begin.sources),
+                      copies.subspan(begin.copies, end.copies - begin.copies),
+                      boundary.subspan(begin.boundary, end.boundary - begin.boundary)});
+        begin = end;
     }
 }
 

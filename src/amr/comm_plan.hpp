@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "amr/block.hpp"
@@ -72,6 +73,24 @@ struct DirectionPlan {
     std::vector<std::pair<BlockKey, int>> boundary;  // (block, sense)
 };
 
+/// Every rank-local ghost write into one owned block over all three
+/// directions: its intra-rank copies and its domain-boundary reflections.
+/// TAMPI+OSS runs one task per entry and variable group. Each ghost plane
+/// (or quarter of one) has exactly one writer in a stage, and every read is
+/// of a source's interior boundary plane, so grouping the writes per
+/// destination cannot change a value.
+struct GhostFill {
+    struct Copy {
+        int source = 0;  // index into `sources`
+        FaceGeom geom;   // relative to dst, as in IntraCopy
+    };
+    BlockKey dst;
+    // Views into the owning CommPlan's flat arrays.
+    std::span<const BlockKey> sources;             // distinct, none equal to dst
+    std::span<const Copy> copies;                  // x, y, z order
+    std::span<const std::pair<int, int>> boundary;  // (axis, sense), x, y, z order
+};
+
 /// MPI tag-space partitioning (§IV-A): one sub-space per direction so
 /// communication tasks of different directions can run concurrently.
 inline constexpr int kTagSpacePerDirection = 1 << 20;
@@ -98,6 +117,12 @@ struct CommPlanOptions {
 class CommPlan {
 public:
     CommPlan() = default;
+    CommPlan(CommPlan&&) = default;
+    CommPlan& operator=(CommPlan&&) = default;
+    /// ghost_fills() views this plan's own arrays; a copy would view the
+    /// original's. A move hands the arrays over and keeps the views valid.
+    CommPlan(const CommPlan&) = delete;
+    CommPlan& operator=(const CommPlan&) = delete;
     /// `shape` supplies face sizes; value counts/offsets are per single
     /// variable (callers scale by the variable-group size).
     CommPlan(const GlobalStructure& structure, const BlockShape& shape, int rank,
@@ -109,6 +134,9 @@ public:
              const CommPlanOptions& options, std::span<const BlockKey> mine);
 
     const DirectionPlan& direction(int d) const { return directions_[static_cast<std::size_t>(d)]; }
+    /// One entry per owned block with at least one intra-rank copy or
+    /// boundary face, in block order.
+    const std::vector<GhostFill>& ghost_fills() const { return ghost_fills_; }
     int rank() const { return rank_; }
 
     /// Total inter-rank messages this rank sends per variable group.
@@ -118,6 +146,11 @@ public:
 private:
     int rank_ = -1;
     std::array<DirectionPlan, 3> directions_;
+    std::vector<GhostFill> ghost_fills_;
+    // Every entry's sources, copies and boundary faces, entry after entry.
+    std::vector<BlockKey> fill_sources_;
+    std::vector<GhostFill::Copy> fill_copies_;
+    std::vector<std::pair<int, int>> fill_boundary_;
 };
 
 /// The coarse-fine subset of the ghost plan, reused for the flux-register

@@ -99,7 +99,9 @@ void ForkJoinDriver::exchange(int dir, int gb, int ge,
     });
     pfor(static_cast<std::int64_t>(boundary.size()), [&](std::int64_t i) {
         const auto& [key, sense] = boundary[static_cast<std::size_t>(i)];
+        const std::int64_t t0 = now_ns();
         mesh_.block(key).reflect_face(dir, sense, gb, ge);
+        trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
     });
 
     // Master waits for ALL receives (fork-join cannot overlap per-message),

@@ -67,7 +67,9 @@ void MpiOnlyDriver::exchange(int dir, int gb, int ge,
         trace(0, t0, now_ns(), PhaseKind::IntraCopy);
     }
     for (const auto& [key, sense] : boundary) {
+        const std::int64_t t0 = now_ns();
         mesh_.block(key).reflect_face(dir, sense, gb, ge);
+        trace(0, t0, now_ns(), PhaseKind::IntraCopy);
     }
 
     // 4) Waitany/unpack loop (lines 14-18).

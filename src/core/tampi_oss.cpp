@@ -73,10 +73,12 @@ Dep TampiOssDriver::reg_dep_inout(const BlockKey& key, int gb, int ge) {
 void TampiOssDriver::communicate_stage(int group) {
     // Algorithm 3: tasks are instantiated for each direction; whether the
     // directions can actually run concurrently depends on the buffers
-    // (--separate_buffers) — the dependency system works it out.
+    // (--separate_buffers) — the dependency system works it out. The
+    // rank-local ghost fills follow all three directions' message tasks.
     for (int dir = 0; dir < 3; ++dir) {
         submit_direction(dir, group);
     }
+    submit_ghost_fills(group);
 }
 
 void TampiOssDriver::submit_direction(int dir, int group) {
@@ -163,25 +165,44 @@ void TampiOssDriver::submit_direction(int dir, int group) {
             }
         }
     }
+}
 
-    // Intra-process copies (the taskification inherited from Rico et al.).
-    for (const amr::IntraCopy& copy_ref : dp.copies) {
-        const amr::IntraCopy* copy = &copy_ref;
+void TampiOssDriver::submit_ghost_fills(int group) {
+    // One task per destination block covers its intra-rank copies and
+    // boundary reflections in all three directions. Blocks are resolved
+    // here, once; the body does no mesh lookup.
+    const int gb = group_begin(group), ge = group_end(group);
+    for (const amr::GhostFill& fill_ref : plan_.ghost_fills()) {
+        const amr::GhostFill* fill = &fill_ref;
+        std::vector<const Block*> sources;
+        std::vector<Dep> deps;
+        sources.reserve(fill->sources.size());
+        deps.reserve(fill->sources.size() + 1);
+        for (const BlockKey& key : fill->sources) {
+            sources.push_back(&mesh_.block(key));
+            deps.push_back(in(sources.back()->group_span(gb, ge)));
+        }
+        Block* dst = &mesh_.block(fill->dst);
+        deps.push_back(inout(dst->group_span(gb, ge)));
         rt_.submit(
-            [this, copy, gb, ge] {
+            [this, fill, dst, sources = std::move(sources), gb, ge] {
                 const std::int64_t t0 = now_ns();
-                mesh_.block(copy->dst).copy_face_from(mesh_.block(copy->src), copy->geom, gb, ge);
+                for ([[maybe_unused]] const Block* src : sources) {
+                    DFAMR_CHECK_READ(src->group_span(gb, ge).data(),
+                                     src->group_span(gb, ge).size_bytes());
+                }
+                DFAMR_CHECK_WRITE(dst->group_span(gb, ge).data(),
+                                  dst->group_span(gb, ge).size_bytes());
+                for (const amr::GhostFill::Copy& c : fill->copies) {
+                    const Block& src = *sources[static_cast<std::size_t>(c.source)];
+                    dst->copy_face_from(src, c.geom, gb, ge);
+                }
+                for (const auto& [axis, sense] : fill->boundary) {
+                    dst->reflect_face(axis, sense, gb, ge);
+                }
                 trace(worker_index(), t0, now_ns(), PhaseKind::IntraCopy);
             },
-            {block_dep_in(copy->src, gb, ge), block_dep_inout(copy->dst, gb, ge)}, "intra_copy");
-    }
-    for (const auto& [key, sense] : dp.boundary) {
-        const int sense_copy = sense;
-        rt_.submit(
-            [this, key, dir, sense_copy, gb, ge] {
-                mesh_.block(key).reflect_face(dir, sense_copy, gb, ge);
-            },
-            {block_dep_inout(key, gb, ge)}, "reflect");
+            std::move(deps), "ghost_fill");
     }
 }
 

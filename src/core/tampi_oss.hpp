@@ -6,7 +6,10 @@
 //    send-buffer section), send tasks (TAMPI_Isend, in-dependency — with
 //    aggregated messages a single region dependency over the chunk's
 //    contiguous sections plays the role of the paper's multidependency),
-//    intra-process copy tasks, unpack tasks. No MPI_Waitany anywhere.
+//    unpack tasks, then one ghost-fill task per destination block (its
+//    intra-process copies and boundary reflections in all three
+//    directions: in on each source block, inout on the destination).
+//    No MPI_Waitany anywhere.
 //  * stencil: one task per block and variable group (inout on the block's
 //    group range — the paper's §IV-D dependency granularity).
 //  * checksum (§IV-C): local-reduction tasks per (block, group), a reduce
@@ -52,7 +55,11 @@ protected:
     int worker_index() override;
 
 private:
+    /// Receive, pack, send and unpack tasks of one direction's exchange.
     void submit_direction(int dir, int group);
+    /// One ghost_fill task per plan_.ghost_fills() entry: in on each
+    /// source block's group span, inout on the destination's.
+    void submit_ghost_fills(int group);
     /// Task graph of one direction's flux-register exchange + reflux: pack
     /// (in: fine register / out: stream section), TAMPI send/recv tasks,
     /// apply tasks (in: stream section, inout: coarse block + register) and

@@ -604,18 +604,29 @@ private:
                         }
                     }
                 }
-                for (const amr::IntraCopy& c : dp.copies) {
-                    const std::int64_t fb = face_bytes(c.geom.axis, c.geom.rel, gv);
-                    dataflow(r, PhaseKind::IntraCopy, copy_ns(fb) + overhead(),
-                             {block_dep(r, DepKind::In, c.src, group),
-                              block_dep(r, DepKind::InOut, c.dst, group)});
+            }
+        }
+        // Rank-local ghost fills after every direction's message tasks, as
+        // the driver submits them: one task per destination block covering
+        // its copies and boundary reflections in all three directions.
+        for (int r = 0; r < R_; ++r) {
+            for (const amr::GhostFill& fill :
+                 state_[static_cast<std::size_t>(r)].plan.ghost_fills()) {
+                std::int64_t ns = 0;
+                for (const amr::GhostFill::Copy& c : fill.copies) {
+                    ns += copy_ns(face_bytes(c.geom.axis, c.geom.rel, gv));
                 }
-                for (const auto& [key, sense] : dp.boundary) {
+                for (const auto& [axis, sense] : fill.boundary) {
                     (void)sense;
-                    const std::int64_t fb = face_bytes(dir, FaceRel::Same, gv);
-                    dataflow(r, PhaseKind::IntraCopy, copy_ns(fb) + overhead(),
-                             {block_dep(r, DepKind::InOut, key, group)});
+                    ns += copy_ns(face_bytes(axis, FaceRel::Same, gv));
                 }
+                std::vector<Dep> deps;
+                deps.reserve(fill.sources.size() + 1);
+                for (const BlockKey& src : fill.sources) {
+                    deps.push_back(block_dep(r, DepKind::In, src, group));
+                }
+                deps.push_back(block_dep(r, DepKind::InOut, fill.dst, group));
+                dataflow_v(r, PhaseKind::IntraCopy, ns + overhead(), deps);
             }
         }
     }

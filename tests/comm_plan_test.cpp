@@ -1,9 +1,11 @@
 // Tests for the ghost-exchange communication plan: symmetry between the two
 // endpoints of every exchange, chunking under the paper's options, stream
-// layout, and tag-space partitioning.
+// layout, tag-space partitioning, and the per-block ghost-fill table.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <tuple>
 
 #include "amr/comm_plan.hpp"
 #include "amr/mesh.hpp"
@@ -71,10 +73,8 @@ TEST(CommPlan, SymmetricOnUniformMesh) {
     expect_symmetric(all_plans(gs, BlockShape{4, 4, 4, 4}, CommPlanOptions{}));
 }
 
-TEST(CommPlan, SymmetricWithRefinementAndAllOptions) {
-    const Config cfg = plan_config();
-    GlobalStructure gs(cfg);
-    // Refine a corner region so Coarser/Finer transfers appear.
+/// Refines a corner region of `gs` so Coarser/Finer transfers appear.
+void refine_corner(GlobalStructure& gs) {
     ObjectSpec sphere;
     sphere.type = ObjectType::SpheroidSurface;
     sphere.center = {0, 0, 0};
@@ -84,6 +84,12 @@ TEST(CommPlan, SymmetricWithRefinementAndAllOptions) {
         if (round.empty()) break;
         gs.apply_refine_round(round);
     }
+}
+
+TEST(CommPlan, SymmetricWithRefinementAndAllOptions) {
+    const Config cfg = plan_config();
+    GlobalStructure gs(cfg);
+    refine_corner(gs);
     ASSERT_GT(gs.num_blocks(), 32u);
 
     for (bool send_faces : {false, true}) {
@@ -180,6 +186,78 @@ TEST(CommPlan, BoundaryFacesAreDomainBoundaries) {
         for (const auto& [key, sense] : plan.direction(d).boundary) {
             EXPECT_TRUE(gs.at_domain_boundary(key, d, sense));
         }
+    }
+}
+
+/// The ghost-fill table regroups the direction plans' rank-local writes by
+/// destination: every copy and boundary face lands in exactly one entry,
+/// the one of its destination, and entries exist only where there is work.
+void expect_ghost_fills_partition(const GlobalStructure& gs, const CommPlan& plan) {
+    using Copy = std::tuple<BlockKey, BlockKey, int, int, FaceRel, int>;
+    using Face = std::tuple<BlockKey, int, int>;
+    std::multiset<Copy> planned_copies, filled_copies;
+    std::multiset<Face> planned_faces, filled_faces;
+    for (int d = 0; d < 3; ++d) {
+        for (const IntraCopy& c : plan.direction(d).copies) {
+            planned_copies.emplace(c.dst, c.src, c.geom.axis, c.geom.sense, c.geom.rel,
+                                   c.geom.quad);
+        }
+        for (const auto& [key, sense] : plan.direction(d).boundary) {
+            planned_faces.emplace(key, d, sense);
+        }
+    }
+    std::set<BlockKey> with_entry;
+    for (const GhostFill& fill : plan.ghost_fills()) {
+        EXPECT_TRUE(with_entry.insert(fill.dst).second) << "one entry per destination";
+        EXPECT_EQ(gs.owner(fill.dst), plan.rank());
+        EXPECT_FALSE(fill.copies.empty() && fill.boundary.empty()) << "entry without work";
+        const std::set<BlockKey> distinct(fill.sources.begin(), fill.sources.end());
+        EXPECT_EQ(distinct.size(), fill.sources.size()) << "sources are deduplicated";
+        EXPECT_EQ(distinct.count(fill.dst), 0u) << "a block is not its own source";
+        std::set<int> used;
+        for (const GhostFill::Copy& c : fill.copies) {
+            ASSERT_GE(c.source, 0);
+            ASSERT_LT(static_cast<std::size_t>(c.source), fill.sources.size());
+            used.insert(c.source);
+            filled_copies.emplace(fill.dst, fill.sources[static_cast<std::size_t>(c.source)],
+                                  c.geom.axis, c.geom.sense, c.geom.rel, c.geom.quad);
+        }
+        EXPECT_EQ(used.size(), fill.sources.size()) << "every source feeds a copy";
+        for (const auto& [axis, sense] : fill.boundary) filled_faces.emplace(fill.dst, axis, sense);
+    }
+    EXPECT_EQ(filled_copies, planned_copies);
+    EXPECT_EQ(filled_faces, planned_faces);
+    // Exactly the blocks with a copy or a boundary face have an entry.
+    std::set<BlockKey> with_work;
+    for (const Copy& c : planned_copies) with_work.insert(std::get<0>(c));
+    for (const Face& f : planned_faces) with_work.insert(std::get<0>(f));
+    EXPECT_EQ(with_entry, with_work);
+}
+
+TEST(CommPlan, GhostFillsPartitionRankLocalWrites) {
+    const Config cfg = plan_config();
+    GlobalStructure gs(cfg);
+    refine_corner(gs);
+    ASSERT_GT(gs.num_blocks(), 32u);
+    bool saw_multi_source_entry = false;
+    for (const CommPlan& plan : all_plans(gs, BlockShape{4, 4, 4, 4}, CommPlanOptions{})) {
+        expect_ghost_fills_partition(gs, plan);
+        for (const GhostFill& fill : plan.ghost_fills()) {
+            saw_multi_source_entry |= fill.sources.size() > 1;
+        }
+    }
+    EXPECT_TRUE(saw_multi_source_entry);
+}
+
+TEST(CommPlan, GhostFillsOnSingleRankCoverEveryBlock) {
+    const Config cfg = plan_config(1, 1, 1);
+    GlobalStructure gs(cfg);
+    CommPlan plan(gs, BlockShape{4, 4, 4, 4}, 0, CommPlanOptions{});
+    expect_ghost_fills_partition(gs, plan);
+    // One rank: every face is a copy or a reflection, so every block fills.
+    EXPECT_EQ(plan.ghost_fills().size(), gs.blocks_of(0).size());
+    for (const GhostFill& fill : plan.ghost_fills()) {
+        EXPECT_EQ(fill.copies.size() + fill.boundary.size(), 6u);
     }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -507,7 +508,8 @@ TEST(WireRegions, UnbalancedUnregisterIsAnError) {
 // default builds this still pins down the baseline behavior.
 // ---------------------------------------------------------------------------
 
-core::RunResult run_tiny(amr::Variant variant) {
+core::RunResult run_tiny(amr::Variant variant,
+                         const std::function<void(amr::Config&)>& adjust = {}) {
     amr::Config cfg;
     cfg.npx = 2;
     cfg.npy = cfg.npz = 1;
@@ -528,6 +530,7 @@ core::RunResult run_tiny(amr::Variant variant) {
     sphere.move = {0.15, 0.1, 0.05};
     sphere.bounce = true;
     cfg.objects.push_back(sphere);
+    if (adjust) adjust(cfg);
     return core::run_variant(cfg, variant);
 }
 
@@ -541,6 +544,16 @@ TEST(VerifiedVariants, ForkJoinRunsClean) {
 
 TEST(VerifiedVariants, TampiOssRunsClean) {
     EXPECT_TRUE(run_tiny(amr::Variant::TampiOss).validation_ok);
+}
+
+TEST(VerifiedVariants, TampiOssGhostFillsPerGroupRunClean) {
+    // One message per face and two variable groups, with the mesh changing
+    // every timestep: the per-block ghost_fill tasks then share blocks with
+    // unpack, pack and stencil tasks of both groups on every rebuilt plan.
+    EXPECT_TRUE(run_tiny(amr::Variant::TampiOss, [](amr::Config& cfg) {
+                    cfg.send_faces = true;
+                    cfg.comm_vars = 2;
+                }).validation_ok);
 }
 
 }  // namespace

@@ -172,11 +172,21 @@ TEST(Variants, LoadBalancingKeepsResults) {
 }
 
 TEST(Variants, SingleRankWorks) {
-    Config cfg = tiny_config(1, 1, 1);
-    for (Variant v : {Variant::MpiOnly, Variant::ForkJoin, Variant::TampiOss}) {
-        const RunResult r = run_variant(cfg, v);
-        EXPECT_TRUE(r.validation_ok) << to_string(v);
-        EXPECT_GT(r.total_flops, 0) << to_string(v);
+    // On one rank every ghost face is an intra-rank copy or a reflection,
+    // so the variants' rank-local fills must agree bit for bit.
+    for (int comm_vars : {0, 2}) {
+        Config cfg = tiny_config(1, 1, 1);
+        cfg.comm_vars = comm_vars;
+        const RunResult ref = run_variant(cfg, Variant::MpiOnly);
+        EXPECT_TRUE(ref.validation_ok) << "comm_vars " << comm_vars;
+        EXPECT_GT(ref.total_flops, 0) << "comm_vars " << comm_vars;
+        EXPECT_FALSE(ref.checksums.empty());
+        for (Variant v : {Variant::ForkJoin, Variant::TampiOss}) {
+            const RunResult r = run_variant(cfg, v);
+            EXPECT_TRUE(r.validation_ok) << to_string(v) << " comm_vars " << comm_vars;
+            EXPECT_GT(r.total_flops, 0) << to_string(v) << " comm_vars " << comm_vars;
+            EXPECT_EQ(r.checksums, ref.checksums) << to_string(v) << " comm_vars " << comm_vars;
+        }
     }
 }
 
