@@ -66,17 +66,6 @@ Block::Block(BlockKey key, const BlockShape& shape)
                   "invalid block shape");
 }
 
-std::int64_t Block::index(int var, int x, int y, int z) const {
-    return var * shape_.stride_var() + x * shape_.stride_x() + y * shape_.stride_y() + z;
-}
-
-double& Block::at(int var, int x, int y, int z) {
-    return data_[static_cast<std::size_t>(index(var, x, y, z))];
-}
-double Block::at(int var, int x, int y, int z) const {
-    return data_[static_cast<std::size_t>(index(var, x, y, z))];
-}
-
 std::span<double> Block::group_span(int var_begin, int var_end) {
     return {data_.data() + var_begin * shape_.stride_var(),
             static_cast<std::size_t>((var_end - var_begin) * shape_.stride_var())};

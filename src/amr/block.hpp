@@ -109,8 +109,8 @@ public:
     std::span<double> group_span(int var_begin, int var_end);
     std::span<const double> group_span(int var_begin, int var_end) const;
 
-    double& at(int var, int x, int y, int z);
-    double at(int var, int x, int y, int z) const;
+    double& at(int var, int x, int y, int z) { return data_[index(var, x, y, z)]; }
+    double at(int var, int x, int y, int z) const { return data_[index(var, x, y, z)]; }
 
     /// Initializes interior cells from the deterministic field function
     /// evaluated at each cell's physical center (identical across variants
@@ -156,7 +156,10 @@ public:
     double checksum(int var_begin, int var_end) const;
 
 private:
-    std::int64_t index(int var, int x, int y, int z) const;
+    std::size_t index(int var, int x, int y, int z) const {
+        return static_cast<std::size_t>(var * shape_.stride_var() + x * shape_.stride_x() +
+                                        y * shape_.stride_y() + z);
+    }
     /// Fills edge/corner ghosts (not covered by face exchange) by clamping
     /// to the nearest valid cell — needed by the 27-point stencil.
     void fill_ghost_edges(int var);

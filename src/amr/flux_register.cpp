@@ -32,6 +32,12 @@ double FluxRegister::at(int axis, int sense, int var, int u, int v) const {
     return data_[static_cast<std::size_t>(index(axis, sense, var, u, v))];
 }
 
+std::span<double> FluxRegister::face(int axis, int sense, int var) {
+    return std::span<double>(data_).subspan(
+        static_cast<std::size_t>(index(axis, sense, var, 1, 1)),
+        static_cast<std::size_t>(shape_.face_values_same(axis, 1)));
+}
+
 std::span<double> FluxRegister::slice(int var_begin, int var_end) {
     return std::span<double>(data_).subspan(
         static_cast<std::size_t>(var_begin * per_var_),

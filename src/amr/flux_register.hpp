@@ -39,6 +39,10 @@ public:
     /// same 1-based convention as Block::at and pack_face.
     double& at(int axis, int sense, int var, int u, int v);
     double at(int axis, int sense, int var, int u, int v) const;
+    /// One whole face plane of variable `var`: dim(u) x dim(v) values with
+    /// v contiguous, so entry (u - 1) * dim(v) + (v - 1) is at(axis, sense,
+    /// var, u, v). The advance kernel copies complete planes through it.
+    std::span<double> face(int axis, int sense, int var);
 
     /// Contiguous storage of variables [var_begin, var_end) — registers are
     /// var-major so task dependencies can be declared per variable group,

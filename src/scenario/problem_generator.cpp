@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "amr/flux_register.hpp"
@@ -17,10 +18,127 @@ namespace {
 /// three-term sum at or under 3 * kCfl.
 constexpr double kCfl = 0.2;
 
+/// Upwind choice of the default face flux for face velocity v.
+double upwind(double v, double ul, double ur) { return v >= 0.0 ? v * ul : v * ur; }
+
+/// Face and centre coordinates along one axis of n cells of width h:
+/// faces[i] for i in 0..n, centres[i] for i in 1..n (centres[0] unused).
+/// The two boundary faces take the box bounds verbatim: abutting blocks
+/// derive those from the same integer anchor arithmetic
+/// (GlobalStructure::box), so both sides of a same-level interface
+/// evaluate the flux at bitwise-identical positions.
+void axis_coords(double lo, double hi, double h, int n, double* faces, double* centres) {
+    faces[0] = lo;
+    for (int i = 1; i < n; ++i) faces[i] = lo + i * h;
+    faces[n] = hi;
+    for (int i = 1; i <= n; ++i) centres[i] = lo + (i - 0.5) * h;
+}
+
+/// The flux-form advance over `flux(axis, p, ul, ur)`. Each face flux is
+/// evaluated once: sweeping x, then y, then z, the high-face flux of a cell
+/// is stored and becomes the low-face flux of the next cell along that
+/// axis — a plane of x-face fluxes, a row of y-face fluxes and a z-face
+/// scalar. The update runs in place: a cell's fluxes read only itself and
+/// its not-yet-updated upper neighbours, and its lower faces are already
+/// stored. The per-cell expression and its evaluation order are those of a
+/// kernel that computes all six faces per cell, so results are bitwise the
+/// same. Boundary planes go to `reg` as each one completes.
+template <class Flux>
+std::int64_t advance_kernel(const Flux& flux, amr::Block& blk, const Box& box, int var_begin,
+                            int var_end, double dt, amr::FluxRegister* reg) {
+    const amr::BlockShape& s = blk.shape();
+    const int nx = s.nx, ny = s.ny, nz = s.nz;
+    const Vec3d ext = box.extent();
+    const double hx = ext.x / nx, hy = ext.y / ny, hz = ext.z / nz;
+    const std::int64_t sx = s.stride_x(), sy = s.stride_y();
+    const std::size_t plane = static_cast<std::size_t>(ny) * nz;
+    std::vector<double>& scratch = amr::tls_scratch(plane + nz + 2 * (nx + ny + nz + 3));
+    double* const fx = scratch.data();  // x-face fluxes, [y][z]
+    double* const fy = fx + plane;      // y-face fluxes, [z]
+    double* const xf = fy + nz;
+    double* const xc = xf + nx + 1;
+    double* const yf = xc + nx + 1;
+    double* const yc = yf + ny + 1;
+    double* const zf = yc + ny + 1;
+    double* const zc = zf + nz + 1;
+    axis_coords(box.lo.x, box.hi.x, hx, nx, xf, xc);
+    axis_coords(box.lo.y, box.hi.y, hy, ny, yf, yc);
+    axis_coords(box.lo.z, box.hi.z, hz, nz, zf, zc);
+
+    for (int v = var_begin; v < var_end; ++v) {
+        double* const var = blk.data() + v * s.stride_var();
+        for (int y = 1; y <= ny; ++y) {
+            const double* const row = var + y * sy;
+            double* const fxr = fx + static_cast<std::size_t>(y - 1) * nz;
+            for (int z = 1; z <= nz; ++z) {
+                fxr[z - 1] = flux(0, Vec3d{xf[0], yc[y], zc[z]}, row[z], row[sx + z]);
+            }
+        }
+        if (reg != nullptr) std::copy_n(fx, plane, reg->face(0, -1, v).data());
+        for (int x = 1; x <= nx; ++x) {
+            double* const pl = var + x * sx;
+            for (int z = 1; z <= nz; ++z) {
+                fy[z - 1] = flux(1, Vec3d{xc[x], yf[0], zc[z]}, pl[z], pl[sy + z]);
+            }
+            if (reg != nullptr) std::copy_n(fy, nz, reg->face(1, -1, v).data() + (x - 1) * nz);
+            for (int y = 1; y <= ny; ++y) {
+                double* const row = pl + y * sy;
+                double* const fxr = fx + static_cast<std::size_t>(y - 1) * nz;
+                double fzl = flux(2, Vec3d{xc[x], yc[y], zf[0]}, row[0], row[1]);
+                if (reg != nullptr) reg->at(2, -1, v, x, y) = fzl;
+                for (int z = 1; z <= nz; ++z) {
+                    const double u = row[z];
+                    const double fxl = fxr[z - 1];
+                    const double fyl = fy[z - 1];
+                    const double fxh = flux(0, Vec3d{xf[x], yc[y], zc[z]}, u, row[sx + z]);
+                    const double fyh = flux(1, Vec3d{xc[x], yf[y], zc[z]}, u, row[sy + z]);
+                    const double fzh = flux(2, Vec3d{xc[x], yc[y], zf[z]}, u, row[z + 1]);
+                    row[z] = u - dt * ((fxh - fxl) / hx + (fyh - fyl) / hy + (fzh - fzl) / hz);
+                    fxr[z - 1] = fxh;
+                    fy[z - 1] = fyh;
+                    fzl = fzh;
+                }
+                if (reg != nullptr) reg->at(2, +1, v, x, y) = fzl;
+            }
+            if (reg != nullptr) std::copy_n(fy, nz, reg->face(1, +1, v).data() + (x - 1) * nz);
+        }
+        if (reg != nullptr) std::copy_n(fx, plane, reg->face(0, +1, v).data());
+    }
+    // Bookkeeping like apply_stencil: ~19 floating-point operations per cell
+    // (three upwind fluxes plus the three-term divergence).
+    return 19 * static_cast<std::int64_t>(nx) * ny * nz * (var_end - var_begin);
+}
+
+/// True when G overrides face_flux: `&G::face_flux` then names a member of
+/// G rather than of ProblemGenerator.
+template <class G>
+constexpr bool overrides_face_flux =
+    !std::is_same_v<decltype(&G::face_flux), decltype(&ProblemGenerator::face_flux)>;
+
+/// Base of the registered (final) generators: runs the kernel over
+/// Derived's own flux — its face_flux override, or the default upwind flux
+/// on its velocity. The qualified calls are direct, so the compiler inlines
+/// the flux into the kernel instead of making virtual calls per face.
+template <class Derived>
+class InlinedAdvance : public ProblemGenerator {
+    std::int64_t advance_block(amr::Block& blk, const Box& box, int var_begin, int var_end,
+                               double dt, amr::FluxRegister* reg) const override {
+        const auto& self = static_cast<const Derived&>(*this);
+        const auto flux = [&self](int axis, const Vec3d& p, double ul, double ur) {
+            if constexpr (overrides_face_flux<Derived>) {
+                return self.Derived::face_flux(axis, p, ul, ur);
+            } else {
+                return upwind(self.Derived::velocity(p, 0.5 * (ul + ur))[axis], ul, ur);
+            }
+        };
+        return advance_kernel(flux, blk, box, var_begin, var_end, dt, reg);
+    }
+};
+
 /// Advected Gaussian pulse: the classic smooth-transport benchmark. The
 /// pulse starts near a lower corner and drifts diagonally; velocities and
 /// run lengths keep it away from the reflective domain boundary.
-class GaussianPulse final : public ProblemGenerator {
+class GaussianPulse final : public InlinedAdvance<GaussianPulse> {
 public:
     const char* name() const override { return "gaussian"; }
     double max_speed() const override { return 0.4; }  // largest component
@@ -40,7 +158,7 @@ public:
 /// center (z-invariant): a discontinuous profile that stresses the
 /// estimators and the coarse-fine transfer operators. Exactly returns to
 /// its initial position every full turn.
-class SlottedCylinder final : public ProblemGenerator {
+class SlottedCylinder final : public InlinedAdvance<SlottedCylinder> {
 public:
     const char* name() const override { return "slotted_cylinder"; }
     double max_speed() const override { return 0.5; }  // omega * max |p - center|
@@ -69,7 +187,7 @@ private:
 /// 0 with a positive tanh ramp. Faster fluid behind catches slower fluid
 /// ahead and the ramp steepens into a moving shock — no closed-form
 /// reference after shock formation, so has_reference() is false.
-class SteepeningFront final : public ProblemGenerator {
+class SteepeningFront final : public InlinedAdvance<SteepeningFront> {
 public:
     const char* name() const override { return "front"; }
     double max_speed() const override { return 1.2; }  // initial max u (a priori bound)
@@ -108,8 +226,7 @@ double ProblemGenerator::reference(const Vec3d&, double) const {
 }
 
 double ProblemGenerator::face_flux(int axis, const Vec3d& p, double ul, double ur) const {
-    const double v = velocity(p, 0.5 * (ul + ur))[axis];
-    return v >= 0.0 ? v * ul : v * ur;
+    return upwind(velocity(p, 0.5 * (ul + ur))[axis], ul, ur);
 }
 
 void ProblemGenerator::init_block(amr::Block& blk, const Box& box) const {
@@ -129,80 +246,13 @@ void ProblemGenerator::init_block(amr::Block& blk, const Box& box) const {
     }
 }
 
-std::int64_t ProblemGenerator::advance(amr::Block& blk, const Box& box, int var_begin,
-                                       int var_end, double dt, amr::FluxRegister* reg) const {
-    // Same rolling two-plane update as Block::stencil7: plane x reads
-    // original planes x-1..x+1, so plane x-1 writes back once plane x is
-    // done. Each cell computes all six of its face fluxes; interior faces
-    // are therefore evaluated twice from identical inputs, which is exactly
-    // what makes the telescoping sum cancel bitwise. The per-cell expression
-    // has one fixed evaluation order — bit-identical results on every
-    // variant and transport.
-    const amr::BlockShape& s = blk.shape();
-    const Vec3d ext = box.extent();
-    const double hx = ext.x / s.nx, hy = ext.y / s.ny, hz = ext.z / s.nz;
-    // Face coordinate i in 0..n along an axis. The two boundary faces take
-    // the box bounds verbatim: abutting blocks derive those from the same
-    // integer anchor arithmetic (GlobalStructure::box), so both sides of a
-    // same-level interface evaluate velocity at bitwise-identical positions.
-    const auto face_coord = [](double lo, double hi, double h, int i, int n) {
-        if (i == 0) return lo;
-        if (i == n) return hi;
-        return lo + i * h;
+std::int64_t ProblemGenerator::advance_block(amr::Block& blk, const Box& box, int var_begin,
+                                             int var_end, double dt,
+                                             amr::FluxRegister* reg) const {
+    const auto flux = [this](int axis, const Vec3d& p, double ul, double ur) {
+        return face_flux(axis, p, ul, ur);
     };
-    const std::size_t plane = static_cast<std::size_t>(s.ny) * s.nz;
-    std::vector<double>& scratch = amr::tls_scratch(2 * plane);
-    const auto cell = [&](std::size_t buf, int y, int z) -> double& {
-        return scratch[buf * plane + static_cast<std::size_t>(y - 1) * s.nz + (z - 1)];
-    };
-    const auto write_back = [&](int v, int x) {
-        const std::size_t buf = static_cast<std::size_t>(x & 1);
-        for (int y = 1; y <= s.ny; ++y) {
-            for (int z = 1; z <= s.nz; ++z) {
-                blk.at(v, x, y, z) = cell(buf, y, z);
-            }
-        }
-    };
-    for (int v = var_begin; v < var_end; ++v) {
-        for (int x = 1; x <= s.nx; ++x) {
-            const std::size_t buf = static_cast<std::size_t>(x & 1);
-            const double pxc = box.lo.x + (x - 0.5) * hx;
-            const double xl = face_coord(box.lo.x, box.hi.x, hx, x - 1, s.nx);
-            const double xh = face_coord(box.lo.x, box.hi.x, hx, x, s.nx);
-            for (int y = 1; y <= s.ny; ++y) {
-                const double pyc = box.lo.y + (y - 0.5) * hy;
-                const double yl = face_coord(box.lo.y, box.hi.y, hy, y - 1, s.ny);
-                const double yh = face_coord(box.lo.y, box.hi.y, hy, y, s.ny);
-                for (int z = 1; z <= s.nz; ++z) {
-                    const double pzc = box.lo.z + (z - 0.5) * hz;
-                    const double zl = face_coord(box.lo.z, box.hi.z, hz, z - 1, s.nz);
-                    const double zh = face_coord(box.lo.z, box.hi.z, hz, z, s.nz);
-                    const double u = blk.at(v, x, y, z);
-                    const double fxl = face_flux(0, {xl, pyc, pzc}, blk.at(v, x - 1, y, z), u);
-                    const double fxh = face_flux(0, {xh, pyc, pzc}, u, blk.at(v, x + 1, y, z));
-                    const double fyl = face_flux(1, {pxc, yl, pzc}, blk.at(v, x, y - 1, z), u);
-                    const double fyh = face_flux(1, {pxc, yh, pzc}, u, blk.at(v, x, y + 1, z));
-                    const double fzl = face_flux(2, {pxc, pyc, zl}, blk.at(v, x, y, z - 1), u);
-                    const double fzh = face_flux(2, {pxc, pyc, zh}, u, blk.at(v, x, y, z + 1));
-                    cell(buf, y, z) =
-                        u - dt * ((fxh - fxl) / hx + (fyh - fyl) / hy + (fzh - fzl) / hz);
-                    if (reg != nullptr) {
-                        if (x == 1) reg->at(0, -1, v, y, z) = fxl;
-                        if (x == s.nx) reg->at(0, +1, v, y, z) = fxh;
-                        if (y == 1) reg->at(1, -1, v, x, z) = fyl;
-                        if (y == s.ny) reg->at(1, +1, v, x, z) = fyh;
-                        if (z == 1) reg->at(2, -1, v, x, y) = fzl;
-                        if (z == s.nz) reg->at(2, +1, v, x, y) = fzh;
-                    }
-                }
-            }
-            if (x > 1) write_back(v, x - 1);
-        }
-        write_back(v, s.nx);
-    }
-    // Bookkeeping like apply_stencil: ~33 floating-point operations per cell
-    // (six upwind fluxes plus the three-term divergence).
-    return 33 * static_cast<std::int64_t>(s.nx) * s.ny * s.nz * (var_end - var_begin);
+    return advance_kernel(flux, blk, box, var_begin, var_end, dt, reg);
 }
 
 double ProblemGenerator::stable_dt(const amr::Config& cfg) const {

@@ -10,14 +10,24 @@
 //
 //   u -= dt * [ (Fx_hi - Fx_lo)/hx + (Fy_hi - Fy_lo)/hy + (Fz_hi - Fz_lo)/hz ]
 //
-// Both cells adjacent to an interior face recompute the identical flux from
-// identical inputs, and abutting same-level blocks evaluate their shared
-// face at bitwise-identical coordinates (integer anchor arithmetic in
-// GlobalStructure::box), so every same-level interface telescopes to zero
-// exactly. At coarse-fine interfaces the two sides disagree; the kernel
-// records its boundary-plane fluxes into a per-block FluxRegister and the
-// drivers run a Berger–Colella reflux pass after each stage (DESIGN.md §18)
-// so total mass is conserved to rounding there too.
+// The kernel evaluates every face flux exactly once per stage and keeps it
+// in rolling buffers — one plane of x-face fluxes, one row of y-face
+// fluxes, one z-face scalar — so the low-face flux a cell subtracts is the
+// very double its lower neighbour added as its high-face flux, and every
+// interior face telescopes to zero exactly. The stored value is the one
+// either cell would compute from their shared inputs, and the per-cell
+// expression has one fixed evaluation order, so the result is bitwise that
+// of evaluating all six faces per cell. Abutting same-level blocks evaluate
+// their shared face at bitwise-identical coordinates (integer anchor
+// arithmetic in GlobalStructure::box), so same-level block interfaces
+// telescope too. At coarse-fine interfaces the two sides disagree; the
+// kernel copies its six boundary planes of fluxes into a per-block
+// FluxRegister and the drivers run a Berger–Colella reflux pass after each
+// stage (DESIGN.md §18) so total mass is conserved to rounding there too.
+//
+// The registered generators are `final` and instantiate the kernel over
+// their own inlined flux; any other subclass runs the same kernel over the
+// virtual face_flux, with bit-identical results.
 //
 // The kernel is a pure function of (block data, block box, dt): identical
 // across variants, decompositions and transports by construction, so the
@@ -79,12 +89,21 @@ public:
     /// Returns the FLOPs done (throughput bookkeeping, like apply_stencil).
     /// Thread-safe: hybrid variants call it from worker threads.
     std::int64_t advance(amr::Block& blk, const Box& box, int var_begin, int var_end, double dt,
-                         amr::FluxRegister* reg = nullptr) const;
+                         amr::FluxRegister* reg = nullptr) const {
+        return advance_block(blk, box, var_begin, var_end, dt, reg);
+    }
     /// CFL-stable step against the finest possible cell of `cfg`.
     double stable_dt(const amr::Config& cfg) const;
     /// Same CFL bound for an externally supplied speed (the live field max
     /// when cfl_from_field()).
     double dt_for_speed(const amr::Config& cfg, double speed) const;
+
+private:
+    /// The kernel instantiation behind advance(). The default runs it over
+    /// the virtual face_flux; the registered generators override it with
+    /// the kernel instantiated over their own devirtualised flux.
+    virtual std::int64_t advance_block(amr::Block& blk, const Box& box, int var_begin,
+                                       int var_end, double dt, amr::FluxRegister* reg) const;
 };
 
 /// Registry lookup by CLI name: "gaussian", "slotted_cylinder" or "front".

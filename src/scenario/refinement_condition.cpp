@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -32,6 +33,11 @@ public:
 /// (all three axes). Undivided — not divided by the cell width — so the
 /// score of a smooth feature *shrinks* as the mesh refines around it and
 /// refinement converges instead of running away to the level cap.
+///
+/// The estimators walk raw strided rows with the per-axis range checks
+/// hoisted to the row, and keep one running max per axis. A max of absolute
+/// values does not depend on the order it is taken in, so the score is
+/// bitwise that of a per-cell loop.
 class GradientCondition final : public RefinementCondition {
 public:
     const char* name() const override { return "gradient"; }
@@ -39,18 +45,25 @@ public:
     double score(const amr::Block* blk, const Box&, const ScoreContext&) const override {
         DFAMR_REQUIRE(blk != nullptr, "gradient condition needs block data");
         const amr::BlockShape& s = blk->shape();
-        double m = 0.0;
+        const std::int64_t sx = s.stride_x(), sy = s.stride_y();
+        double mx = 0.0, my = 0.0, mz = 0.0;
         for (int x = 1; x <= s.nx; ++x) {
             for (int y = 1; y <= s.ny; ++y) {
-                for (int z = 1; z <= s.nz; ++z) {
-                    const double u = blk->at(0, x, y, z);
-                    if (x < s.nx) m = std::max(m, std::abs(blk->at(0, x + 1, y, z) - u));
-                    if (y < s.ny) m = std::max(m, std::abs(blk->at(0, x, y + 1, z) - u));
-                    if (z < s.nz) m = std::max(m, std::abs(blk->at(0, x, y, z + 1) - u));
+                const double* const row = blk->data() + x * sx + y * sy;
+                for (int z = 1; z < s.nz; ++z) mz = std::max(mz, std::abs(row[z + 1] - row[z]));
+                if (y < s.ny) {
+                    for (int z = 1; z <= s.nz; ++z) {
+                        my = std::max(my, std::abs(row[z + sy] - row[z]));
+                    }
+                }
+                if (x < s.nx) {
+                    for (int z = 1; z <= s.nz; ++z) {
+                        mx = std::max(mx, std::abs(row[z + sx] - row[z]));
+                    }
                 }
             }
         }
-        return m;
+        return std::max({mx, my, mz});
     }
 };
 
@@ -65,27 +78,27 @@ public:
     double score(const amr::Block* blk, const Box&, const ScoreContext&) const override {
         DFAMR_REQUIRE(blk != nullptr, "curvature condition needs block data");
         const amr::BlockShape& s = blk->shape();
-        double m = 0.0;
+        const std::int64_t sx = s.stride_x(), sy = s.stride_y();
+        double mx = 0.0, my = 0.0, mz = 0.0;
         for (int x = 1; x <= s.nx; ++x) {
             for (int y = 1; y <= s.ny; ++y) {
-                for (int z = 1; z <= s.nz; ++z) {
-                    const double u2 = 2.0 * blk->at(0, x, y, z);
-                    if (x > 1 && x < s.nx) {
-                        m = std::max(m,
-                                     std::abs(blk->at(0, x - 1, y, z) - u2 + blk->at(0, x + 1, y, z)));
+                const double* const row = blk->data() + x * sx + y * sy;
+                for (int z = 2; z < s.nz; ++z) {
+                    mz = std::max(mz, std::abs(row[z - 1] - 2.0 * row[z] + row[z + 1]));
+                }
+                if (y > 1 && y < s.ny) {
+                    for (int z = 1; z <= s.nz; ++z) {
+                        my = std::max(my, std::abs(row[z - sy] - 2.0 * row[z] + row[z + sy]));
                     }
-                    if (y > 1 && y < s.ny) {
-                        m = std::max(m,
-                                     std::abs(blk->at(0, x, y - 1, z) - u2 + blk->at(0, x, y + 1, z)));
-                    }
-                    if (z > 1 && z < s.nz) {
-                        m = std::max(m,
-                                     std::abs(blk->at(0, x, y, z - 1) - u2 + blk->at(0, x, y, z + 1)));
+                }
+                if (x > 1 && x < s.nx) {
+                    for (int z = 1; z <= s.nz; ++z) {
+                        mx = std::max(mx, std::abs(row[z - sx] - 2.0 * row[z] + row[z + sx]));
                     }
                 }
             }
         }
-        return m;
+        return std::max({mx, my, mz});
     }
 };
 

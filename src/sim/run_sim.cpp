@@ -424,7 +424,7 @@ private:
                             link_send(send, r, dir, ex.peer, chunk, sinks, bytes);
                         }
                     }
-                    serial(r, PhaseKind::IntraCopy, intra_copy_cost(dp, gv));
+                    serial(r, PhaseKind::IntraCopy, intra_copy_cost(dp, dir, gv));
                     // Waitany loop: unpacks gated by program order + arrival.
                     const SimTaskPtr after_copies = st.tail;
                     std::vector<SimTaskPtr> unpacks;
@@ -489,13 +489,15 @@ private:
         }
     }
 
-    std::int64_t intra_copy_cost(const amr::DirectionPlan& dp, int gv) const {
+    /// Intra-rank copies and boundary reflections of direction `dir`, each
+    /// priced by the size of its own face.
+    std::int64_t intra_copy_cost(const amr::DirectionPlan& dp, int dir, int gv) const {
         std::int64_t ns = 0;
         for (const amr::IntraCopy& c : dp.copies) {
             ns += copy_ns(face_bytes(c.geom.axis, c.geom.rel, gv));
         }
         for (std::size_t b = 0; b < dp.boundary.size(); ++b) {
-            ns += copy_ns(face_bytes(0, FaceRel::Same, gv));
+            ns += copy_ns(face_bytes(dir, FaceRel::Same, gv));
         }
         return ns;
     }

@@ -199,5 +199,43 @@ TEST(SimTrace, TracerReceivesSimulatedTimeline) {
     EXPECT_TRUE(a.busy_ns_by_kind.count(amr::PhaseKind::Stencil));
 }
 
+TEST(SimCosts, ReflectionsArePricedByTheirOwnFace) {
+    // One block on one rank, so every ghost fill is a domain-boundary
+    // reflection. With each reflection priced by its own face, permuting the
+    // block's axes permutes the three face sizes and leaves the total
+    // reflection cost unchanged; pricing every reflection as an x face
+    // would make the (4, 8, 16) block cost four times the (16, 8, 4) one.
+    const auto intra_copy_ns = [](Variant v, int nx, int ny, int nz) {
+        ClusterSpec c;
+        c.nodes = 1;
+        c.cores_per_node = v == Variant::MpiOnly ? 1 : 2;
+        c.cores_per_socket = c.cores_per_node;
+        c.ranks_per_node = 1;
+        Config cfg;
+        cfg.nx = nx;
+        cfg.ny = ny;
+        cfg.nz = nz;
+        cfg.num_vars = 2;
+        cfg.num_tsteps = 1;
+        cfg.stages_per_ts = 2;
+        cfg.checksum_freq = 2;
+        cfg.num_refine = 0;
+        cfg.refine_freq = 0;
+        arrange(cfg, {1, 1, 1}, 1);
+        amr::Tracer tracer;
+        tracer.enable(true);
+        (void)run_simulated(cfg, v, c, test_costs(), &tracer);
+        const amr::TraceAnalysis a = tracer.analyze();
+        const auto it = a.busy_ns_by_kind.find(amr::PhaseKind::IntraCopy);
+        return it == a.busy_ns_by_kind.end() ? std::int64_t{0} : it->second;
+    };
+    for (Variant v : {Variant::MpiOnly, Variant::ForkJoin}) {
+        const std::int64_t long_x = intra_copy_ns(v, 16, 8, 4);
+        const std::int64_t long_z = intra_copy_ns(v, 4, 8, 16);
+        EXPECT_GT(long_x, 0) << to_string(v);
+        EXPECT_EQ(long_x, long_z) << to_string(v);
+    }
+}
+
 }  // namespace
 }  // namespace dfamr::sim

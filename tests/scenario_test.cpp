@@ -1,5 +1,6 @@
 // Scenario subsystem tests: refinement-condition scoring (estimator edge
-// cases), problem-generator workloads, cross-variant bit-identity of
+// cases), problem-generator workloads, the advance and estimator kernels
+// against per-cell reference loops, cross-variant bit-identity of
 // estimator-driven runs, deref hysteresis across checkpoint/restore, and
 // the checkpoint version gate protecting the hysteresis state.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -382,6 +384,274 @@ TEST(Conservation, SlottedCylinderFullTurnL1Regression) {
     EXPECT_EQ(r.mass_drift, 0.0);
     const double residual = r.final_mass - r.initial_mass + r.boundary_outflux;
     EXPECT_LE(std::abs(residual), 1e-12 * std::max(1.0, std::abs(r.initial_mass)));
+}
+
+// ---------------------------------------------------------------------------
+// Kernel oracles: the flux-once advance and the strided estimators against
+// straightforward per-cell loops
+// ---------------------------------------------------------------------------
+
+/// The per-cell flux-form kernel: every cell evaluates all six of its face
+/// fluxes through the virtual face_flux, so each interior face is computed
+/// twice, and writes through a two-plane buffer. ProblemGenerator::advance
+/// must reproduce it bit for bit.
+void reference_advance(const scenario::ProblemGenerator& gen, Block& blk, const Box& box,
+                       int var_begin, int var_end, double dt, amr::FluxRegister* reg) {
+    const BlockShape& s = blk.shape();
+    const Vec3d ext = box.extent();
+    const double hx = ext.x / s.nx, hy = ext.y / s.ny, hz = ext.z / s.nz;
+    const auto face_coord = [](double lo, double hi, double h, int i, int n) {
+        if (i == 0) return lo;
+        if (i == n) return hi;
+        return lo + i * h;
+    };
+    const std::size_t plane = static_cast<std::size_t>(s.ny) * s.nz;
+    std::vector<double> scratch(2 * plane);
+    const auto cell = [&](std::size_t buf, int y, int z) -> double& {
+        return scratch[buf * plane + static_cast<std::size_t>(y - 1) * s.nz + (z - 1)];
+    };
+    const auto write_back = [&](int v, int x) {
+        for (int y = 1; y <= s.ny; ++y) {
+            for (int z = 1; z <= s.nz; ++z) blk.at(v, x, y, z) = cell(x & 1, y, z);
+        }
+    };
+    for (int v = var_begin; v < var_end; ++v) {
+        for (int x = 1; x <= s.nx; ++x) {
+            const std::size_t buf = static_cast<std::size_t>(x & 1);
+            const double pxc = box.lo.x + (x - 0.5) * hx;
+            const double xl = face_coord(box.lo.x, box.hi.x, hx, x - 1, s.nx);
+            const double xh = face_coord(box.lo.x, box.hi.x, hx, x, s.nx);
+            for (int y = 1; y <= s.ny; ++y) {
+                const double pyc = box.lo.y + (y - 0.5) * hy;
+                const double yl = face_coord(box.lo.y, box.hi.y, hy, y - 1, s.ny);
+                const double yh = face_coord(box.lo.y, box.hi.y, hy, y, s.ny);
+                for (int z = 1; z <= s.nz; ++z) {
+                    const double pzc = box.lo.z + (z - 0.5) * hz;
+                    const double zl = face_coord(box.lo.z, box.hi.z, hz, z - 1, s.nz);
+                    const double zh = face_coord(box.lo.z, box.hi.z, hz, z, s.nz);
+                    const double u = blk.at(v, x, y, z);
+                    const double fxl = gen.face_flux(0, {xl, pyc, pzc}, blk.at(v, x - 1, y, z), u);
+                    const double fxh = gen.face_flux(0, {xh, pyc, pzc}, u, blk.at(v, x + 1, y, z));
+                    const double fyl = gen.face_flux(1, {pxc, yl, pzc}, blk.at(v, x, y - 1, z), u);
+                    const double fyh = gen.face_flux(1, {pxc, yh, pzc}, u, blk.at(v, x, y + 1, z));
+                    const double fzl = gen.face_flux(2, {pxc, pyc, zl}, blk.at(v, x, y, z - 1), u);
+                    const double fzh = gen.face_flux(2, {pxc, pyc, zh}, u, blk.at(v, x, y, z + 1));
+                    cell(buf, y, z) =
+                        u - dt * ((fxh - fxl) / hx + (fyh - fyl) / hy + (fzh - fzl) / hz);
+                    if (reg != nullptr) {
+                        if (x == 1) reg->at(0, -1, v, y, z) = fxl;
+                        if (x == s.nx) reg->at(0, +1, v, y, z) = fxh;
+                        if (y == 1) reg->at(1, -1, v, x, z) = fyl;
+                        if (y == s.ny) reg->at(1, +1, v, x, z) = fyh;
+                        if (z == 1) reg->at(2, -1, v, x, y) = fzl;
+                        if (z == s.nz) reg->at(2, +1, v, x, y) = fzh;
+                    }
+                }
+            }
+            if (x > 1) write_back(v, x - 1);
+        }
+        write_back(v, s.nx);
+    }
+}
+
+/// Not final and overriding only velocity, so advance runs the kernel over
+/// the virtual face_flux. Every component varies with all three
+/// coordinates and with u, so a face evaluated at a wrong position shows,
+/// and each changes sign inside the test box.
+class SwirlGenerator : public scenario::ProblemGenerator {
+public:
+    const char* name() const override { return "test_swirl"; }
+    double max_speed() const override { return 2.0; }
+    double initial(const Vec3d& p) const override { return p.x - p.y * p.z; }
+    Vec3d velocity(const Vec3d& p, double u) const override {
+        return {p.y - 0.45 + 0.3 * p.z + 0.25 * u, 0.45 - p.x * p.z + 0.2 * p.y + 0.2 * u,
+                p.x - p.y + 0.4 * p.z + 0.1 * u * u - 0.35};
+    }
+};
+
+/// Distinct, asymmetric data in every variable, ghosts included, with sign
+/// changes so upwinding flips and the front's transonic branch fires.
+void fill_oracle_data(Block& blk) {
+    const BlockShape& s = blk.shape();
+    for (int v = 0; v < s.num_vars; ++v) {
+        for (int x = 0; x <= s.nx + 1; ++x) {
+            for (int y = 0; y <= s.ny + 1; ++y) {
+                for (int z = 0; z <= s.nz + 1; ++z) {
+                    blk.at(v, x, y, z) =
+                        (1.0 + 0.3 * v) * std::sin(1.3 * x - 0.7 * y * y + 2.1 * z + 0.37 * x * z +
+                                                   0.9 * v) +
+                        0.05 * v;
+                }
+            }
+        }
+    }
+}
+
+/// Registers prefilled with a sentinel, so a plane the kernel skips shows
+/// up as a mismatch rather than as two equal zeros.
+amr::FluxRegister sentinel_register(const BlockShape& shape) {
+    amr::FluxRegister reg(shape);
+    std::span<double> all = reg.slice(0, shape.num_vars);
+    std::fill(all.begin(), all.end(), -12345.5);
+    return reg;
+}
+
+bool same_bytes(std::span<const double> a, std::span<const double> b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST(ScenarioKernel, AdvanceMatchesPerCellReference) {
+    const SwirlGenerator swirl;
+    std::vector<const scenario::ProblemGenerator*> gens;
+    for (const std::string& name : scenario::generator_names()) gens.push_back(find_generator(name));
+    gens.push_back(&swirl);
+
+    struct Case {
+        BlockShape shape;
+        int var_begin, var_end;
+    };
+    // Back to back on one thread with different shapes, so the kernel's
+    // thread-local scratch is reused at other sizes in both directions.
+    const Case cases[] = {
+        {{3, 5, 7, 3}, 0, 3}, {{3, 5, 7, 3}, 1, 3}, {{8, 8, 8, 2}, 0, 2},
+        {{6, 2, 4, 4}, 1, 3}, {{1, 1, 1, 1}, 0, 1}, {{2, 7, 3, 3}, 0, 3},
+    };
+    const Box box{{0.25, 0.125, 0.5}, {0.625, 0.75, 0.875}};
+    const double dt = 0.0137;
+    for (const scenario::ProblemGenerator* gen : gens) {
+        ASSERT_NE(gen, nullptr);
+        for (const Case& c : cases) {
+            for (const bool with_reg : {true, false}) {
+                const std::string what = std::string(gen->name()) + " " +
+                                         std::to_string(c.shape.nx) + "x" +
+                                         std::to_string(c.shape.ny) + "x" +
+                                         std::to_string(c.shape.nz) + " vars [" +
+                                         std::to_string(c.var_begin) + "," +
+                                         std::to_string(c.var_end) + ")" +
+                                         (with_reg ? "" : " no register");
+                Block got(BlockKey{}, c.shape), want(BlockKey{}, c.shape);
+                fill_oracle_data(got);
+                fill_oracle_data(want);
+                amr::FluxRegister reg_got = sentinel_register(c.shape);
+                amr::FluxRegister reg_want = sentinel_register(c.shape);
+                // Two steps: the second starts from updated interiors next to
+                // the unchanged ghosts.
+                for (int step = 0; step < 2; ++step) {
+                    gen->advance(got, box, c.var_begin, c.var_end, dt,
+                                 with_reg ? &reg_got : nullptr);
+                    reference_advance(*gen, want, box, c.var_begin, c.var_end, dt,
+                                      with_reg ? &reg_want : nullptr);
+                }
+                EXPECT_TRUE(same_bytes(got.group_span(0, c.shape.num_vars),
+                                       want.group_span(0, c.shape.num_vars)))
+                    << what << ": block data differs";
+                for (int axis = 0; axis < 3; ++axis) {
+                    for (const int sense : {-1, +1}) {
+                        for (int v = 0; v < c.shape.num_vars; ++v) {
+                            EXPECT_TRUE(same_bytes(reg_got.face(axis, sense, v),
+                                                   reg_want.face(axis, sense, v)))
+                                << what << ": register axis " << axis << " sense " << sense
+                                << " var " << v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ScenarioKernel, FrontDataHitsEveryGodunovBranch) {
+    // The oracle data must reach the transonic rarefaction (ul <= 0 <= ur),
+    // the other rarefactions and the shocks of the front's flux, or the
+    // comparison above proves nothing about them.
+    const BlockShape shape{3, 5, 7, 3};
+    Block blk(BlockKey{}, shape);
+    fill_oracle_data(blk);
+    int transonic = 0, rarefaction = 0, shock = 0;
+    for (int v = 0; v < shape.num_vars; ++v) {
+        for (int x = 0; x <= shape.nx; ++x) {
+            for (int y = 1; y <= shape.ny; ++y) {
+                for (int z = 1; z <= shape.nz; ++z) {
+                    const double ul = blk.at(v, x, y, z), ur = blk.at(v, x + 1, y, z);
+                    if (ul <= 0.0 && 0.0 <= ur) {
+                        ++transonic;
+                    } else if (ul <= ur) {
+                        ++rarefaction;
+                    } else {
+                        ++shock;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(transonic, 0);
+    EXPECT_GT(rarefaction, 0);
+    EXPECT_GT(shock, 0);
+}
+
+double reference_gradient(const Block& blk) {
+    const BlockShape& s = blk.shape();
+    double m = 0.0;
+    for (int x = 1; x <= s.nx; ++x) {
+        for (int y = 1; y <= s.ny; ++y) {
+            for (int z = 1; z <= s.nz; ++z) {
+                const double u = blk.at(0, x, y, z);
+                if (x < s.nx) m = std::max(m, std::abs(blk.at(0, x + 1, y, z) - u));
+                if (y < s.ny) m = std::max(m, std::abs(blk.at(0, x, y + 1, z) - u));
+                if (z < s.nz) m = std::max(m, std::abs(blk.at(0, x, y, z + 1) - u));
+            }
+        }
+    }
+    return m;
+}
+
+double reference_curvature(const Block& blk) {
+    const BlockShape& s = blk.shape();
+    double m = 0.0;
+    for (int x = 1; x <= s.nx; ++x) {
+        for (int y = 1; y <= s.ny; ++y) {
+            for (int z = 1; z <= s.nz; ++z) {
+                const double u2 = 2.0 * blk.at(0, x, y, z);
+                if (x > 1 && x < s.nx) {
+                    m = std::max(m, std::abs(blk.at(0, x - 1, y, z) - u2 + blk.at(0, x + 1, y, z)));
+                }
+                if (y > 1 && y < s.ny) {
+                    m = std::max(m, std::abs(blk.at(0, x, y - 1, z) - u2 + blk.at(0, x, y + 1, z)));
+                }
+                if (z > 1 && z < s.nz) {
+                    m = std::max(m, std::abs(blk.at(0, x, y, z - 1) - u2 + blk.at(0, x, y, z + 1)));
+                }
+            }
+        }
+    }
+    return m;
+}
+
+TEST(ScenarioKernel, EstimatorScoresMatchPerCellReference) {
+    // Variable 0 of the oracle data, then the same data with a growing
+    // spike at the centre cell, which then sets the maximum.
+    const Box box{{0, 0, 0}, {1, 1, 1}};
+    const ScoreContext ctx;
+    for (const BlockShape& shape : {BlockShape{3, 5, 7, 2}, BlockShape{8, 8, 8, 1},
+                                    BlockShape{1, 2, 9, 1}, BlockShape{6, 1, 1, 1}}) {
+        Block blk(BlockKey{}, shape);
+        fill_oracle_data(blk);
+        for (int spike = -1; spike < 3; ++spike) {
+            if (spike >= 0) {
+                Vec3<int> at{(shape.nx + 1) / 2, (shape.ny + 1) / 2, (shape.nz + 1) / 2};
+                blk.at(0, at.x, at.y, at.z) += 10.0 * (spike + 1);
+            }
+            const std::string what = std::to_string(shape.nx) + "x" + std::to_string(shape.ny) +
+                                     "x" + std::to_string(shape.nz) + " spike " +
+                                     std::to_string(spike);
+            const double g = find_condition("gradient")->score(&blk, box, ctx);
+            const double c = find_condition("curvature")->score(&blk, box, ctx);
+            const double g_ref = reference_gradient(blk);
+            const double c_ref = reference_curvature(blk);
+            EXPECT_EQ(std::memcmp(&g, &g_ref, sizeof g), 0) << what << ": " << g << " vs " << g_ref;
+            EXPECT_EQ(std::memcmp(&c, &c_ref, sizeof c), 0) << what << ": " << c << " vs " << c_ref;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
